@@ -296,7 +296,7 @@ BpOsdDecoder::runRegion(const std::vector<uint32_t> &cols,
         for (std::size_t i = 0; i < cols.size(); ++i) {
             osdPost_[i] = posterior_[cols[i]];
         }
-        solved = osdSolve(cols, osdPost_.data(), flipped);
+        solved = osdSolve(cols, osdPost_.data(), flipped, nullptr, false);
         if (solved) {
             for (std::size_t c = 0; c < cols.size(); ++c) {
                 if (solUses_[c]) {
@@ -327,67 +327,38 @@ BpOsdDecoder::runRegion(const std::vector<uint32_t> &cols,
 
 bool
 BpOsdDecoder::osdSolve(const std::vector<uint32_t> &cols, const double *post,
-                       const std::vector<uint32_t> &flipped)
-{
-    return osdSolveImpl(cols, post, flipped, opts_.packedOsd, nullptr,
-                        false);
-}
-
-bool
-BpOsdDecoder::osdSolveImpl(const std::vector<uint32_t> &cols,
-                           const double *post,
-                           const std::vector<uint32_t> &flipped, bool packed,
-                           OsdColCache *cache, bool global_rows)
+                       const std::vector<uint32_t> &flipped,
+                       OsdColCache *cache, bool global_rows)
 {
     // OSD-0: process columns in decreasing error likelihood (ascending
     // posterior LLR) and solve H x = s by incremental elimination on
-    // column vectors over the local detectors. Ties are broken by global
-    // column id: the pivot order must be identical across elimination
-    // backends, sort strategies (full vs lazy prefix), and region
-    // discovery orders even when posteriors collide exactly (duplicated
-    // priors make that common, not hypothetical). The ranking runs on
-    // flat OsdKey records — the indirect double comparator, not the
-    // elimination, used to dominate the post-pass on large regions.
+    // column vectors over the detectors. Ties are broken by global column
+    // id: the pivot order must be identical across sort strategies (full
+    // vs lazy prefix) and region discovery orders even when posteriors
+    // collide exactly (duplicated priors make that common, not
+    // hypothetical). The ranking runs on flat OsdKey records — the
+    // indirect double comparator, not the elimination, used to dominate
+    // the post-pass on large regions.
     std::size_t ne = cols.size();
     osdKeys_.resize(ne);
     for (std::size_t i = 0; i < ne; ++i) {
         osdKeys_[i] = OsdKey{osdPostKey(post[i]), cols[i], (uint32_t)i};
     }
-    bool fullSort = opts_.stagnationWindow == 0 || ne <= kOsdPrefix;
-    if (fullSort) {
+    std::size_t sortedPrefix = ne;
+    if (opts_.stagnationWindow == 0 || ne <= kOsdPrefix) {
         std::sort(osdKeys_.begin(), osdKeys_.end());
-        osdSortedPrefix_ = ne;
     } else {
         std::nth_element(osdKeys_.begin(), osdKeys_.begin() + kOsdPrefix,
                          osdKeys_.end());
         std::sort(osdKeys_.begin(), osdKeys_.begin() + kOsdPrefix);
-        osdSortedPrefix_ = kOsdPrefix;
+        sortedPrefix = kOsdPrefix;
     }
-    if (packed) {
-        return osdSolvePacked(cols, flipped, cache, global_rows);
-    }
-    return osdSolveScalar(cols, flipped);
-}
 
-void
-BpOsdDecoder::osdSortTail()
-{
-    std::sort(osdKeys_.begin() + osdSortedPrefix_, osdKeys_.end());
-    osdSortedPrefix_ = osdKeys_.size();
-}
-
-bool
-BpOsdDecoder::osdSolvePacked(const std::vector<uint32_t> &cols,
-                             const std::vector<uint32_t> &flipped,
-                             OsdColCache *cache, bool global_rows)
-{
     // Row numbering: the region-local detLocal_ map when the caller has
-    // one anyway (runRegion, the scalar reference comparisons), the
-    // global detector ids when it does not (the batched flush) — the
-    // solution is row-numbering invariant, and global rows make the
-    // per-job detLocal_ rebuild plus one indirection per gathered bit
-    // disappear.
-    std::size_t ne = cols.size();
+    // one anyway (runRegion, osdPostPass), the global detector ids when it
+    // does not (the batched flush) — the solution is row-numbering
+    // invariant, and global rows make the per-job detLocal_ rebuild plus
+    // one indirection per gathered bit disappear.
     std::size_t nd = global_rows ? numDetectors_ : regionDets_.size();
     std::size_t words = (nd + 63) / 64;
     elim_.begin(nd);
@@ -398,8 +369,9 @@ BpOsdDecoder::osdSolvePacked(const std::vector<uint32_t> &cols,
     osdPushPos_.clear();
     bool solved = false;
     for (std::size_t oi = 0; oi < ne; ++oi) {
-        if (oi == osdSortedPrefix_) {
-            osdSortTail();
+        if (oi == sortedPrefix) {
+            // The elimination outran the sorted prefix: finish the sort.
+            std::sort(osdKeys_.begin() + sortedPrefix, osdKeys_.end());
         }
         uint32_t oc = osdKeys_[oi].pos;
         uint32_t gc = cols[oc];
@@ -439,103 +411,6 @@ BpOsdDecoder::osdSolvePacked(const std::vector<uint32_t> &cols,
         elim_.solution(osdSolIdx_);
         for (uint32_t idx : osdSolIdx_) {
             solUses_[osdPushPos_[idx]] = 1;
-        }
-    }
-    return solved;
-}
-
-bool
-BpOsdDecoder::osdSolveScalar(const std::vector<uint32_t> &cols,
-                             const std::vector<uint32_t> &flipped)
-{
-    std::size_t ne = cols.size(), nd = regionDets_.size();
-    std::size_t words = (nd + 63) / 64;
-    synWords_.assign(words, 0);
-    for (uint32_t d : flipped) {
-        uint32_t ld = (uint32_t)detLocal_[d];
-        synWords_[ld >> 6] |= uint64_t{1} << (ld & 63);
-    }
-    pivRow_.clear();
-    pivCols_.clear();
-    pivMembers_.clear();
-    pivMemBegin_.assign(1, 0);
-    solUses_.assign(ne, 0);
-    bool solved = false;
-    // Reduce the syndrome as we go; solution = pivots whose row bit is
-    // set in the (running) reduced syndrome.
-    for (std::size_t oi = 0; oi < ne; ++oi) {
-        if (oi == osdSortedPrefix_) {
-            osdSortTail();
-        }
-        uint32_t oc = osdKeys_[oi].pos;
-        uint32_t gc = cols[oc];
-        colWords_.assign(words, 0);
-        for (uint32_t e = tanner_->colBegin[gc]; e < tanner_->colBegin[gc + 1]; ++e) {
-            uint32_t ld = (uint32_t)detLocal_[tanner_->colDet[e]];
-            colWords_[ld >> 6] |= uint64_t{1} << (ld & 63);
-        }
-        memScratch_.clear();
-        memScratch_.push_back(oc);
-        std::size_t npiv = pivRow_.size();
-        for (std::size_t pi = 0; pi < npiv; ++pi) {
-            std::size_t prow = pivRow_[pi];
-            if ((colWords_[prow >> 6] >> (prow & 63)) & 1) {
-                const uint64_t *pc = pivCols_.data() + pi * words;
-                for (std::size_t w = 0; w < words; ++w) {
-                    colWords_[w] ^= pc[w];
-                }
-                for (uint32_t mi = pivMemBegin_[pi];
-                     mi < pivMemBegin_[pi + 1]; ++mi) {
-                    memScratch_.push_back(pivMembers_[mi]);
-                }
-            }
-        }
-        std::size_t row = nd;
-        for (std::size_t w = 0; w < words && row == nd; ++w) {
-            if (colWords_[w]) {
-                row = (w << 6) + std::countr_zero(colWords_[w]);
-            }
-        }
-        if (row == nd) {
-            continue; // dependent column
-        }
-        pivRow_.push_back((uint32_t)row);
-        pivCols_.insert(pivCols_.end(), colWords_.begin(), colWords_.end());
-        pivMembers_.insert(pivMembers_.end(), memScratch_.begin(),
-                           memScratch_.end());
-        pivMemBegin_.push_back((uint32_t)pivMembers_.size());
-        // Check if the syndrome is now explainable.
-        rScratch_.assign(synWords_.begin(), synWords_.end());
-        useScratch_.assign(npiv + 1, 0);
-        for (std::size_t pi = 0; pi < npiv + 1; ++pi) {
-            std::size_t prow = pivRow_[pi];
-            if ((rScratch_[prow >> 6] >> (prow & 63)) & 1) {
-                const uint64_t *pc = pivCols_.data() + pi * words;
-                for (std::size_t w = 0; w < words; ++w) {
-                    rScratch_[w] ^= pc[w];
-                }
-                useScratch_[pi] = 1;
-            }
-        }
-        bool zero = true;
-        for (uint64_t w : rScratch_) {
-            if (w) {
-                zero = false;
-                break;
-            }
-        }
-        if (zero) {
-            std::fill(solUses_.begin(), solUses_.end(), 0);
-            for (std::size_t pi = 0; pi < npiv + 1; ++pi) {
-                if (useScratch_[pi]) {
-                    for (uint32_t mi = pivMemBegin_[pi];
-                         mi < pivMemBegin_[pi + 1]; ++mi) {
-                        solUses_[pivMembers_[mi]] ^= 1;
-                    }
-                }
-            }
-            solved = true;
-            break;
         }
     }
     return solved;
@@ -673,289 +548,7 @@ BpOsdDecoder::growRegionBfs(const std::vector<uint32_t> &seeds)
 }
 
 uint64_t
-BpOsdDecoder::decodeFast(const std::vector<uint32_t> &flipped)
-{
-    if (flipped.empty()) {
-        return 0;
-    }
-    // Weight-1 fast path: a syndrome exactly matching one mechanism is
-    // overwhelmingly most likely explained by it (p >> p^2).
-    auto hit = tanner_->single.find(flipped);
-    if (hit != tanner_->single.end()) {
-        return hit->second.first;
-    }
-    growRegion(flipped);
-    bool ok = false;
-    uint64_t result = runRegion(errs_, flipped, ok);
-    if (!ok) {
-        // Fall back to the full graph.
-        result = runRegion(tanner_->allCols, flipped, ok);
-    }
-    return result;
-}
-
-uint64_t
 BpOsdDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
-{
-    return decodeFast(flipped_detectors);
-}
-
-void
-BpOsdDecoder::decodeBatch(const sim::SampleBatch &batch, std::size_t first,
-                          std::size_t count, uint64_t *obs_out)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        std::size_t shot = first + i;
-        const uint64_t *row = batch.det.data() + shot * batch.detWords;
-        uint64_t any = 0;
-        for (std::size_t w = 0; w < batch.detWords; ++w) {
-            any |= row[w];
-        }
-        if (any == 0) {
-            obs_out[i] = 0;
-            continue;
-        }
-        batch.flippedDetectors(shot, flippedScratch_);
-        obs_out[i] = decodeFast(flippedScratch_);
-    }
-}
-
-uint64_t
-BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
-                           const std::vector<uint32_t> &flipped, bool &ok)
-{
-    // Local index maps.
-    std::vector<uint32_t> dets;
-    std::vector<int> det_local(numDetectors_, -1);
-    for (uint32_t e : errs) {
-        for (uint32_t d : tanner_->colDets[e]) {
-            if (det_local[d] < 0) {
-                det_local[d] = (int)dets.size();
-                dets.push_back(d);
-            }
-        }
-    }
-    std::size_t nd = dets.size(), ne = errs.size();
-    std::vector<uint8_t> syn(nd, 0);
-    for (uint32_t d : flipped) {
-        if (det_local[d] < 0) {
-            // A flipped detector with no adjacent error in the region:
-            // unsolvable here.
-            ok = false;
-            return 0;
-        }
-        syn[det_local[d]] = 1;
-    }
-
-    // Edge lists (local).
-    struct ColEdges
-    {
-        std::size_t begin, count;
-    };
-    std::vector<ColEdges> col_edges(ne);
-    std::vector<uint32_t> edge_det;   // local detector per edge
-    std::vector<double> msg_c2d;      // column -> detector messages
-    for (std::size_t c = 0; c < ne; ++c) {
-        col_edges[c].begin = edge_det.size();
-        col_edges[c].count = tanner_->colDets[errs[c]].size();
-        for (uint32_t d : tanner_->colDets[errs[c]]) {
-            edge_det.push_back((uint32_t)det_local[d]);
-            msg_c2d.push_back(tanner_->prior[errs[c]]);
-        }
-    }
-    std::vector<std::vector<uint32_t>> det_edges(nd);
-    for (std::size_t c = 0; c < ne; ++c) {
-        for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-            det_edges[edge_det[col_edges[c].begin + k]].push_back(
-                (uint32_t)(col_edges[c].begin + k));
-        }
-    }
-
-    std::vector<double> msg_d2c(edge_det.size(), 0.0);
-    std::vector<double> posterior(ne, 0.0);
-    std::vector<uint8_t> hard(ne, 0);
-
-    auto check_syndrome = [&]() {
-        std::vector<uint8_t> acc(nd, 0);
-        for (std::size_t c = 0; c < ne; ++c) {
-            if (!hard[c]) {
-                continue;
-            }
-            for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-                acc[edge_det[col_edges[c].begin + k]] ^= 1;
-            }
-        }
-        return acc == syn;
-    };
-
-    bool converged = false;
-    for (std::size_t it = 0; it < opts_.maxIterations && !converged; ++it) {
-        // Detector -> column (min-sum with normalization).
-        for (std::size_t d = 0; d < nd; ++d) {
-            const auto &edges = det_edges[d];
-            // Compute product of signs and two smallest magnitudes.
-            int sign = syn[d] ? -1 : 1;
-            double min1 = 1e300, min2 = 1e300;
-            std::size_t argmin = 0;
-            for (uint32_t e : edges) {
-                double v = msg_c2d[e];
-                if (v < 0) {
-                    sign = -sign;
-                }
-                double a = std::fabs(v);
-                if (a < min1) {
-                    min2 = min1;
-                    min1 = a;
-                    argmin = e;
-                } else if (a < min2) {
-                    min2 = a;
-                }
-            }
-            for (uint32_t e : edges) {
-                double mag = (e == argmin) ? min2 : min1;
-                int s = sign;
-                if (msg_c2d[e] < 0) {
-                    s = -s;
-                }
-                msg_d2c[e] = opts_.scale * s * mag;
-            }
-        }
-        // Column -> detector, posterior, hard decision.
-        for (std::size_t c = 0; c < ne; ++c) {
-            double total = tanner_->prior[errs[c]];
-            for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-                total += msg_d2c[col_edges[c].begin + k];
-            }
-            posterior[c] = total;
-            hard[c] = total < 0;
-            for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-                std::size_t e = col_edges[c].begin + k;
-                msg_c2d[e] = total - msg_d2c[e];
-            }
-        }
-        converged = check_syndrome();
-    }
-
-    uint64_t result = 0;
-    if (converged) {
-        for (std::size_t c = 0; c < ne; ++c) {
-            if (hard[c]) {
-                result ^= tanner_->colObs[errs[c]];
-            }
-        }
-        ok = true;
-        return result;
-    }
-
-    // OSD-0: process columns in decreasing error likelihood (ascending
-    // posterior LLR) and solve H x = s by incremental elimination on column
-    // vectors over the local detectors.
-    std::vector<uint32_t> order(ne);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        // Tie-break by global column id, as in osdSolve: every
-        // elimination path must pick the same pivot order under tied
-        // posteriors.
-        if (posterior[a] != posterior[b]) {
-            return posterior[a] < posterior[b];
-        }
-        return errs[a] < errs[b];
-    });
-
-    std::size_t words = (nd + 63) / 64;
-    std::vector<uint64_t> s_vec(words, 0);
-    for (std::size_t d = 0; d < nd; ++d) {
-        if (syn[d]) {
-            s_vec[d >> 6] |= uint64_t{1} << (d & 63);
-        }
-    }
-    struct Pivot
-    {
-        std::size_t row;
-        std::vector<uint64_t> col;
-        uint32_t errCol;
-        std::vector<uint32_t> members; ///< original columns XORed in
-    };
-    std::vector<Pivot> pivots;
-    std::vector<uint8_t> sol_uses(ne, 0);
-    bool solved = false;
-    // Reduce the syndrome as we go; solution = pivots whose row bit is set
-    // in the (running) reduced syndrome.
-    for (uint32_t oc : order) {
-        // Build the column vector.
-        std::vector<uint64_t> col(words, 0);
-        for (std::size_t k = 0; k < col_edges[oc].count; ++k) {
-            uint32_t d = edge_det[col_edges[oc].begin + k];
-            col[d >> 6] |= uint64_t{1} << (d & 63);
-        }
-        std::vector<uint32_t> members{oc};
-        for (const Pivot &p : pivots) {
-            if ((col[p.row >> 6] >> (p.row & 63)) & 1) {
-                for (std::size_t w = 0; w < words; ++w) {
-                    col[w] ^= p.col[w];
-                }
-                for (uint32_t mc : p.members) {
-                    members.push_back(mc);
-                }
-            }
-        }
-        std::size_t row = nd;
-        for (std::size_t w = 0; w < words && row == nd; ++w) {
-            if (col[w]) {
-                row = (w << 6) + std::countr_zero(col[w]);
-            }
-        }
-        if (row == nd) {
-            continue; // dependent column
-        }
-        pivots.push_back({row, std::move(col), oc, std::move(members)});
-        // Check if the syndrome is now explainable.
-        std::vector<uint64_t> r = s_vec;
-        std::vector<uint8_t> use(pivots.size(), 0);
-        for (std::size_t pi = 0; pi < pivots.size(); ++pi) {
-            const Pivot &p = pivots[pi];
-            if ((r[p.row >> 6] >> (p.row & 63)) & 1) {
-                for (std::size_t w = 0; w < words; ++w) {
-                    r[w] ^= p.col[w];
-                }
-                use[pi] = 1;
-            }
-        }
-        bool zero = true;
-        for (uint64_t w : r) {
-            if (w) {
-                zero = false;
-                break;
-            }
-        }
-        if (zero) {
-            std::fill(sol_uses.begin(), sol_uses.end(), 0);
-            for (std::size_t pi = 0; pi < pivots.size(); ++pi) {
-                if (use[pi]) {
-                    for (uint32_t mc : pivots[pi].members) {
-                        sol_uses[mc] ^= 1;
-                    }
-                }
-            }
-            solved = true;
-            break;
-        }
-    }
-    if (!solved) {
-        ok = false;
-        return 0;
-    }
-    for (std::size_t c = 0; c < ne; ++c) {
-        if (sol_uses[c]) {
-            result ^= tanner_->colObs[errs[c]];
-        }
-    }
-    ok = true;
-    return result;
-}
-
-uint64_t
-BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
 {
     if (flipped_detectors.empty()) {
         return 0;
@@ -966,53 +559,20 @@ BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
     if (hit != tanner_->single.end()) {
         return hit->second.first;
     }
-    // Localized region: errors within regionRadius expansion layers of the
-    // flipped detectors.
-    std::vector<uint8_t> err_in(tanner_->colDets.size(), 0);
-    std::vector<uint8_t> det_in(numDetectors_, 0);
-    std::vector<uint32_t> frontier_dets = flipped_detectors;
-    std::vector<uint32_t> errs;
-    for (uint32_t d : frontier_dets) {
-        det_in[d] = 1;
-    }
-    for (std::size_t layer = 0; layer < opts_.regionRadius; ++layer) {
-        std::vector<uint32_t> new_dets;
-        for (uint32_t d : frontier_dets) {
-            for (uint32_t e : tanner_->detCols[d]) {
-                if (err_in[e]) {
-                    continue;
-                }
-                err_in[e] = 1;
-                errs.push_back(e);
-                for (uint32_t dd : tanner_->colDets[e]) {
-                    if (!det_in[dd]) {
-                        det_in[dd] = 1;
-                        new_dets.push_back(dd);
-                    }
-                }
-            }
-        }
-        frontier_dets = std::move(new_dets);
-        if (frontier_dets.empty()) {
-            break;
-        }
-    }
+    growRegion(flipped_detectors);
     bool ok = false;
-    uint64_t result = decodeRegion(errs, flipped_detectors, ok);
-    if (ok) {
-        return result;
+    uint64_t result = runRegion(errs_, flipped_detectors, ok);
+    if (!ok) {
+        // Fall back to the full graph.
+        result = runRegion(tanner_->allCols, flipped_detectors, ok);
     }
-    // Fall back to the full graph.
-    std::vector<uint32_t> all(tanner_->colDets.size());
-    std::iota(all.begin(), all.end(), 0);
-    result = decodeRegion(all, flipped_detectors, ok);
     return result;
 }
 
 bool
 BpOsdDecoder::osdPostPass(const std::vector<uint32_t> &cols,
                           const std::vector<double> &post,
-                          const std::vector<uint32_t> &flipped, bool packed,
+                          const std::vector<uint32_t> &flipped,
                           std::vector<uint8_t> &uses)
 {
     // Local detector numbering in region-discovery order, exactly as
@@ -1036,8 +596,7 @@ BpOsdDecoder::osdPostPass(const std::vector<uint32_t> &cols,
     }
     bool solved = false;
     if (feasible) {
-        solved = osdSolveImpl(cols, post.data(), flipped, packed, nullptr,
-                              false);
+        solved = osdSolve(cols, post.data(), flipped, nullptr, false);
     }
     uses.assign(cols.size(), 0);
     if (solved) {

@@ -12,6 +12,7 @@
 #ifndef PROPHUNT_DECODER_BP_OSD_H
 #define PROPHUNT_DECODER_BP_OSD_H
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <memory>
@@ -35,7 +36,7 @@ struct BpOsdOptions
     /**
      * Stop BP once this many consecutive iterations pass without the
      * syndrome-mismatch count reaching a new minimum (0 = always run to
-     * maxIterations, reproducing the reference path bit for bit).
+     * maxIterations, reproducing the seed reference decoder bit for bit).
      *
      * Non-converging syndromes dominate LDPC decode time: they burn the
      * whole iteration budget polishing posteriors that OSD then only uses
@@ -46,35 +47,12 @@ struct BpOsdOptions
      */
     std::size_t stagnationWindow = 2;
     /**
-     * Shots decoded in parallel SIMD lanes by decodePacked (clamped to
-     * BpOsdDecoder::kMaxLaneWidth; 0 = scalar reference path, i.e. the
-     * transpose + decodeBatch pipeline).
-     *
-     * The lane engine runs min-sum BP for laneWidth shots at once over
-     * the shared Tanner CSR: messages are stored lane-interleaved
-     * (laneWidth doubles per edge), the detector -> column two-minimum
-     * reduction runs 8 lanes per AVX-512 vector (4 per AVX2 vector,
-     * with a bit-identical scalar-lane fallback), and per-lane sentinel
-     * masks keep each
-     * shot's localized region independent. Lanes retire individually on
-     * convergence / stagnation and are refilled from the shot queue, so
-     * iteration skew between easy and hard syndromes no longer idles the
-     * engine. Every lane reproduces per-shot decode() bit for bit — the
-     * observables are identical for every laneWidth, only the throughput
-     * changes.
+     * Shots decodePacked runs in parallel SIMD lanes: one AVX-512 vector
+     * (two AVX2 vectors) of doubles per edge. Every lane reproduces
+     * per-shot decode() bit for bit, so the width affects throughput
+     * only, and the kernels are written for this one width.
      */
-    std::size_t laneWidth = 8;
-    /**
-     * Solve the OSD-0 post-pass with the word-packed gf2_dense
-     * eliminator (incremental syndrome reduction, bit-packed solution
-     * membership) instead of the scalar reference elimination. Both
-     * produce identical observables for every input — the solution is
-     * the unique expression of the syndrome over the same independent
-     * column set — so this switch only trades speed, and the scalar
-     * path survives as the differential-test and benchmark reference
-     * (tests/osd_elimination_test.cc, bench/packed_pipeline.cc).
-     */
-    bool packedOsd = true;
+    static constexpr std::size_t kLaneWidth = 8;
 };
 
 /**
@@ -85,54 +63,44 @@ struct BpOsdOptions
  * shot only touches syndrome-dependent state — the localized region's
  * columns, their edges, and the message values — and restores it on exit.
  * Inactive edges carry a +1e300 sentinel message, which reproduces the
- * reference implementation's min-sum initialization exactly, so decode(),
- * decodeBatch(), and the retained per-region reference path
- * (decodeReference()) agree bit for bit.
+ * seed implementation's min-sum initialization exactly.
+ *
+ * There is one production path: decodePacked, the lane engine with the
+ * batched word-packed OSD post-pass (bp_osd_lanes.cc). Per-shot decode()
+ * serves the Decoder interface and the lane engine's full-graph
+ * fallback, and equals decodePacked bit for bit. With
+ * stagnationWindow = 0 both reproduce the seed-faithful reference
+ * decoder that the tests keep (tests/support/bp_osd_reference.h)
+ * prediction for prediction.
  */
 class BpOsdDecoder : public Decoder
 {
   public:
-    /** Hard cap on BpOsdOptions::laneWidth (lane masks are 32-bit and the
-     * message arrays scale linearly with the width). */
-    static constexpr std::size_t kMaxLaneWidth = 16;
-
     explicit BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts = {});
 
     uint64_t decode(const std::vector<uint32_t> &flipped_detectors) override;
 
-    void decodeBatch(const sim::SampleBatch &batch, std::size_t first,
-                     std::size_t count, uint64_t *obs_out) override;
-
     /** Native frame-layout path: per-shot syndromes are extracted from
      * the detector-major words without a transpose and decoded by the
-     * lane engine (opts.laneWidth > 0) or routed through the base
-     * adapter (laneWidth == 0, the PR 2 batched path). */
+     * lane engine. */
     void decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
                       PackedDecodeStats *stats = nullptr) override;
-
-    /**
-     * The original per-region implementation (rebuilds local indices and
-     * edge lists per call). Kept as the comparison baseline for the
-     * batched path: equal output, pre-optimization cost.
-     */
-    uint64_t decodeReference(const std::vector<uint32_t> &flipped_detectors);
 
     /**
      * Test seam: run the OSD-0 post-pass alone on an explicit region.
      *
      * @p cols is the region's column set, @p post the per-position
      * posterior ranking (post[i] ranks cols[i]; size must match), and
-     * @p flipped the sorted flipped detectors. @p packed selects the
-     * gf2_dense elimination vs the scalar reference — the two must agree
-     * bit for bit (tests/osd_elimination_test.cc fuzzes exactly this).
-     * Fills @p uses with one 0/1 flag per cols position and returns
-     * whether the syndrome was explained; a flipped detector with no
-     * adjacent column in @p cols makes the region infeasible (false,
-     * all-zero uses), matching runRegion's pre-check.
+     * @p flipped the sorted flipped detectors. Fills @p uses with one 0/1
+     * flag per cols position and returns whether the syndrome was
+     * explained; a flipped detector with no adjacent column in @p cols
+     * makes the region infeasible (false, all-zero uses), matching
+     * runRegion's pre-check. tests/osd_elimination_test.cc fuzzes it
+     * against the reference elimination.
      */
     bool osdPostPass(const std::vector<uint32_t> &cols,
                      const std::vector<double> &post,
-                     const std::vector<uint32_t> &flipped, bool packed,
+                     const std::vector<uint32_t> &flipped,
                      std::vector<uint8_t> &uses);
 
     /**
@@ -178,15 +146,6 @@ class BpOsdDecoder : public Decoder
     static std::shared_ptr<const Tanner> buildTanner(const sim::Dem &dem);
 
   private:
-    /** Reference decode restricted to a subset of error columns;
-     * nullopt-like failure is signaled via @p ok. */
-    uint64_t decodeRegion(const std::vector<uint32_t> &errs,
-                          const std::vector<uint32_t> &flipped, bool &ok);
-
-    /** Hot path: grow the localized region and decode it on the global
-     * Tanner structure, falling back to the full graph. */
-    uint64_t decodeFast(const std::vector<uint32_t> &flipped);
-
     /** Min-sum BP (+ OSD-0 fallback) over @p cols on the global edge
      * arrays; restores all scratch state before returning. */
     uint64_t runRegion(const std::vector<uint32_t> &cols,
@@ -215,51 +174,34 @@ class BpOsdDecoder : public Decoder
      * exit). */
     void growRegionBfs(const std::vector<uint32_t> &seeds);
 
-    /**
-     * OSD-0 over @p cols: solve H x = s by incremental elimination with
-     * columns ranked by ascending posterior (ties broken by global
-     * column id, so every elimination backend and every region
-     * discovery order picks the same pivot sequence); post[i] is the
-     * posterior of cols[i] (both callers gather into osdPost_ first, so
-     * the sort reads contiguous memory). detLocal_/regionDets_ must hold
-     * the region's local detector numbering; fills solUses_ per position
-     * in @p cols and returns whether the syndrome became explainable.
-     * Dispatches to the packed or scalar elimination per opts_.packedOsd.
-     */
-    bool osdSolve(const std::vector<uint32_t> &cols, const double *post,
-                  const std::vector<uint32_t> &flipped);
-
     /** Shared per-group packed-column cache of the batched OSD queue:
-     * row i = packed column cols[i] over the group's local detector
-     * numbering, built lazily and reused by every shot in the group. */
+     * row i = packed column cols[i] over the group's detector numbering,
+     * built lazily and reused by every shot in the group. */
     struct OsdColCache
     {
         DenseBitMat bits;
         std::vector<uint8_t> built;
     };
 
-    /** osdSolve body with the backend explicit and an optional shared
-     * column cache (ignored by the scalar backend). Ranks the columns
-     * into osdKeys_ (a sorted kOsdPrefix prefix unless the exact
-     * mode or a small region forces the full sort; the backends complete
-     * the tail lazily via osdSortTail) and dispatches. @p global_rows
-     * (packed backend only) numbers elimination rows by global detector
-     * id instead of detLocal_ — the flush path uses it to skip the
-     * per-job detLocal_ rebuild; results are row-numbering invariant. */
-    bool osdSolveImpl(const std::vector<uint32_t> &cols, const double *post,
-                      const std::vector<uint32_t> &flipped, bool packed,
-                      OsdColCache *cache, bool global_rows);
-
-    /** The packed elimination: gf2_dense eliminator over lazily built
-     * packed columns. */
-    bool osdSolvePacked(const std::vector<uint32_t> &cols,
-                        const std::vector<uint32_t> &flipped,
-                        OsdColCache *cache, bool global_rows);
-
-    /** The original per-entry elimination, kept as the bit-exact
-     * reference and benchmark baseline for the packed backend. */
-    bool osdSolveScalar(const std::vector<uint32_t> &cols,
-                        const std::vector<uint32_t> &flipped);
+    /**
+     * OSD-0 over @p cols: solve H x = s by incremental gf2_dense
+     * elimination with columns ranked by ascending posterior (ties broken
+     * by global column id, so every region discovery order picks the same
+     * pivot sequence); post[i] is the posterior of cols[i]. On large
+     * regions only a kOsdPrefix prefix of the ranking is sorted up front
+     * and the tail is sorted lazily if the elimination reaches it. Fills
+     * solUses_ per position in @p cols and returns whether the syndrome
+     * became explainable.
+     *
+     * Rows are numbered by detLocal_ (which must then hold the region's
+     * local detector numbering) or, with @p global_rows, by global
+     * detector id — the flush path uses that to skip the per-job
+     * detLocal_ rebuild; results are row-numbering invariant. @p cache,
+     * when non-null, shares the packed columns across a flush group.
+     */
+    bool osdSolve(const std::vector<uint32_t> &cols, const double *post,
+                  const std::vector<uint32_t> &flipped, OsdColCache *cache,
+                  bool global_rows);
 
     /**
      * One posterior-ranking record: @p key is the posterior mapped to a
@@ -282,14 +224,10 @@ class BpOsdDecoder : public Decoder
         }
     };
 
-    /** Sort the unsorted tail of osdKeys_: the lazy completion both
-     * eliminations trigger when they outrun the sorted prefix. */
-    void osdSortTail();
-
     // --- lane engine (decodePacked; see bp_osd_lanes.cc) ---
 
-    /** Size the lane-interleaved state for width @p w (no-op once sized). */
-    void laneEnsure(std::size_t w);
+    /** Size the lane-interleaved state (no-op once sized). */
+    void laneEnsure();
     /** Park shot @p shot (region already grown into errs_) in lane @p l. */
     void laneInstall(std::size_t l, std::size_t shot,
                      const std::vector<uint32_t> &flipped);
@@ -336,7 +274,7 @@ class BpOsdDecoder : public Decoder
 
     // Per-shot scratch. Invariants between shots: msgC2d_ holds the
     // inactive-edge sentinel everywhere, flag arrays are zero, and
-    // detLocal_ is -1; runRegion/decodeFast restore them on every path.
+    // detLocal_ is -1; runRegion/decode restore them on every path.
     std::vector<double> msgC2d_;
     std::vector<double> msgD2c_;
     std::vector<double> posterior_;   ///< Per column (active entries valid).
@@ -373,25 +311,14 @@ class BpOsdDecoder : public Decoder
     std::vector<uint8_t> reachBuilt_;
     bool reachEnabled_ = false;
     std::vector<uint64_t> regionWords_; ///< OR-of-rows scratch.
-    // OSD scratch. Pivots are stored flattened (rows, bit columns,
-    // member segments) so the elimination loop never allocates.
-    std::vector<uint64_t> synWords_;
-    std::vector<uint64_t> colWords_;
-    std::vector<uint8_t> solUses_;
-    std::vector<uint32_t> pivRow_;
-    std::vector<uint64_t> pivCols_;
-    std::vector<uint32_t> pivMemBegin_;
-    std::vector<uint32_t> pivMembers_;
-    std::vector<uint32_t> memScratch_;
-    std::vector<uint64_t> rScratch_;
-    std::vector<uint8_t> useScratch_;
-    std::vector<double> osdPost_; ///< Posteriors gathered per cols position.
-    // Packed-elimination scratch (osdSolvePacked).
+    // OSD scratch (osdSolve).
     Gf2Eliminator elim_;
+    std::vector<uint64_t> colWords_;   ///< Uncached packed column.
+    std::vector<uint8_t> solUses_;
+    std::vector<double> osdPost_; ///< Posteriors gathered per cols position.
     std::vector<uint32_t> osdPushPos_; ///< Push index -> cols position.
     std::vector<uint32_t> osdSolIdx_;  ///< Solution push indices.
     std::vector<OsdKey> osdKeys_;      ///< Posterior-ranking records.
-    std::size_t osdSortedPrefix_ = 0;  ///< Sorted prefix of osdKeys_.
     // Batched OSD queue (lane engine). Entries are reused: osdQueueSize_
     // counts the live prefix, the vectors behind it keep their capacity.
     std::vector<OsdJob> osdQueue_;
@@ -402,14 +329,13 @@ class BpOsdDecoder : public Decoder
 
     // Lane engine state (sized by laneEnsure on the first packed decode).
     // Message/posterior arrays are lane-interleaved: element (i, lane)
-    // lives at i*laneW_ + lane. The region membership that the scalar
+    // lives at i*kLaneWidth + lane. The region membership that the scalar
     // scratch encodes with sentinel *values* is carried by the per-edge
     // lane bit planes instead: laneMsg_ may hold garbage in inactive
     // lanes, the detector pass substitutes the sentinel (or, on a lane's
     // first iteration, the column prior) while loading. That turns the
     // per-shot install/retire work from one strided double per edge into
     // one contiguous bit per edge.
-    std::size_t laneW_ = 0;
     /** In-place message array: column->detector values going into a
      * detector pass, detector->column values going into a column pass
      * (an edge belongs to exactly one detector and one column, so each
@@ -425,14 +351,16 @@ class BpOsdDecoder : public Decoder
     std::vector<double> laneSynSign_;    ///< -0.0 where the syndrome is set.
     std::vector<uint32_t> colLaneMask_;  ///< Per column, lanes it is active in.
     std::vector<uint32_t> detLaneMask_;
-    std::vector<std::vector<uint32_t>> laneCols_; ///< Region per lane.
-    std::vector<std::vector<uint32_t>> laneFlipped_;
-    std::vector<std::size_t> laneShot_;
-    std::vector<uint8_t> laneLive_;
-    std::vector<std::ptrdiff_t> laneMismatch_;
-    std::vector<std::ptrdiff_t> laneBest_;
-    std::vector<std::size_t> laneSinceBest_;
-    std::vector<std::size_t> laneIter_;
+    template <typename T>
+    using PerLane = std::array<T, BpOsdOptions::kLaneWidth>;
+    PerLane<std::vector<uint32_t>> laneCols_; ///< Region per lane.
+    PerLane<std::vector<uint32_t>> laneFlipped_;
+    PerLane<std::size_t> laneShot_{};
+    PerLane<uint8_t> laneLive_{};
+    PerLane<std::ptrdiff_t> laneMismatch_{};
+    PerLane<std::ptrdiff_t> laneBest_{};
+    PerLane<std::size_t> laneSinceBest_{};
+    PerLane<std::size_t> laneIter_{};
     // Packed-syndrome extraction scratch (per-shot flipped lists).
     std::vector<uint32_t> packedFlipped_;
     std::vector<uint32_t> packedOffsets_;

@@ -2,21 +2,20 @@
  * @file
  * Lane-batched SIMD BP engine behind BpOsdDecoder::decodePacked.
  *
- * The engine runs min-sum BP for laneWidth shots in parallel "lanes" over
- * the global Tanner CSR built once per DEM. Messages live in ONE
- * lane-interleaved in-place array (laneWidth doubles per edge): a
+ * The engine runs min-sum BP for BpOsdOptions::kLaneWidth (8) shots in
+ * parallel "lanes" over the global Tanner CSR built once per DEM. Messages
+ * live in ONE lane-interleaved in-place array (8 doubles per edge): a
  * detector pass reads column->detector values and overwrites each slot
  * with its detector->column reply (an edge belongs to exactly one
  * detector and one column, so neither pass reads a slot another detector
  * or column wrote this iteration). The detector -> column two-minimum
- * reduction processes 8 lanes per AVX-512 vector (4 per AVX2 vector on
- * hardware without it) from one contiguous load — no gathers — and walks
- * every chunk of the width in a single pass over the detector's edges,
- * so the independent per-chunk min chains hide the blend latency and
- * each message cache line is touched once per pass. Odd widths and
- * non-x86 builds use a bit-identical scalar-lane fallback; all three
- * kernel tiers produce the same bits (PROPHUNT_NO_AVX512 /
- * PROPHUNT_NO_AVX2 step down explicitly).
+ * reduction processes all 8 lanes in one AVX-512 vector (two AVX2 vectors
+ * on hardware without it, walked in a single pass over the detector's
+ * edges so the independent min chains hide the blend latency) from
+ * contiguous loads — no gathers — and each message cache line is touched
+ * once per pass. Non-x86 builds use a bit-identical scalar-lane fallback;
+ * all three kernel tiers are chosen from the CPU and produce the same
+ * bits (PROPHUNT_NO_AVX512 / PROPHUNT_NO_AVX2 step down explicitly).
  *
  * Localized-region semantics are preserved per lane without per-shot
  * message initialization: laneEdgeActive_ carries one bit per
@@ -25,8 +24,8 @@
  * iteration, when no column pass has written real messages yet — while
  * loading. The message array may therefore hold garbage in inactive
  * lanes: installing a shot sets one contiguous bit per region edge
- * instead of writing one strided double (a full cache line each at
- * laneWidth 8), and retiring clears the lane's bit planes with
+ * instead of writing one strided double (a full cache line each at 8
+ * lanes), and retiring clears the lane's bit planes with
  * vectorizable full-array sweeps. Both passes find their work by
  * scanning the per-column/per-detector lane masks in index order, which
  * keeps the message walks sequential. Lanes retire individually
@@ -47,7 +46,7 @@
  * strict-minimum updates, no FMA contraction), the per-lane stopping
  * rules are the scalar ones, and non-converged lanes hand their
  * posteriors to the shared OSD post-pass — so decodePacked equals
- * per-shot decode() bit for bit for every laneWidth, and a shot's result
+ * per-shot decode() bit for bit, and a shot's result
  * never depends on which shots share its lanes (shot-order invariance).
  * The sign-bit trick used by the vector kernels (sign(x) as the IEEE
  * sign bit) matches the scalar `v < 0.0` test because effective
@@ -76,6 +75,10 @@ namespace {
 /** Same value as the scalar path's inactive-edge sentinel (bp_osd.cc). */
 constexpr double kInactiveLane = 1e300;
 
+/** Lanes per engine; each AVX-512 vector holds all of them. */
+constexpr std::size_t kW = BpOsdOptions::kLaneWidth;
+static_assert(kW == 8, "the SIMD kernels assume 8 lanes");
+
 /**
  * Flush the batched OSD queue once this many retired-unconverged shots
  * have accumulated (and always at the end of a decodePacked call).
@@ -89,7 +92,6 @@ constexpr std::size_t kOsdFlushCap = 128;
  * the same kernels compile with and without AVX2. */
 struct LaneCtx
 {
-    std::size_t W = 0;
     std::size_t numDetectors = 0;
     std::size_t numCols = 0;
     double scale = 0.0;
@@ -127,7 +129,7 @@ effectiveMsg(const LaneCtx &cx, std::size_t e, std::size_t l)
     if (((cx.freshLanes >> l) & 1) != 0) {
         return cx.edgePrior[e];
     }
-    return cx.msg[e * cx.W + l];
+    return cx.msg[e * kW + l];
 }
 
 /** Detector -> column pass for one (detector, lane): the scalar min-sum
@@ -135,15 +137,14 @@ effectiveMsg(const LaneCtx &cx, std::size_t e, std::size_t l)
 void
 detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
 {
-    const std::size_t W = cx.W;
     uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
     uint32_t deg = en - b;
-    bool negProduct = cx.synB[(std::size_t)d * W + l] != 0;
+    bool negProduct = cx.synB[(std::size_t)d * kW + l] != 0;
     double min1 = 1e300, min2 = 1e300;
     uint32_t argpos = UINT32_MAX;
     for (uint32_t i = 0; i < deg; ++i) {
         double v = effectiveMsg(cx, cx.detEdges[b + i], l);
-        cx.stage[(std::size_t)i * W + l] = v;
+        cx.stage[(std::size_t)i * kW + l] = v;
         if (v < 0.0) {
             negProduct = !negProduct;
         }
@@ -158,9 +159,9 @@ detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
     }
     double m1 = cx.scale * min1, m2 = cx.scale * min2;
     for (uint32_t i = 0; i < deg; ++i) {
-        double v = cx.stage[(std::size_t)i * W + l];
+        double v = cx.stage[(std::size_t)i * kW + l];
         double mag = (i == argpos) ? m2 : m1;
-        cx.msg[(std::size_t)cx.detEdges[b + i] * W + l] =
+        cx.msg[(std::size_t)cx.detEdges[b + i] * kW + l] =
             (negProduct != (v < 0.0)) ? -mag : mag;
     }
 }
@@ -170,25 +171,24 @@ detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
 void
 colPassLane(const LaneCtx &cx, uint32_t c, std::size_t l)
 {
-    const std::size_t W = cx.W;
     uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
     double total = cx.prior[c];
     for (uint32_t e = b; e < en; ++e) {
-        total += cx.msg[(std::size_t)e * W + l];
+        total += cx.msg[(std::size_t)e * kW + l];
     }
-    cx.post[(std::size_t)c * W + l] = total;
+    cx.post[(std::size_t)c * kW + l] = total;
     uint32_t bit = uint32_t{1} << l;
     uint32_t h = total < 0 ? bit : 0;
     if (((cx.hardBits[c] ^ h) & bit) != 0) {
         cx.hardBits[c] ^= bit;
         for (uint32_t e = b; e < en; ++e) {
-            std::size_t off = (std::size_t)cx.colDet[e] * W + l;
+            std::size_t off = (std::size_t)cx.colDet[e] * kW + l;
             cx.acc[off] ^= 1;
             cx.mismatch[l] += (cx.acc[off] != cx.synB[off]) ? 1 : -1;
         }
     }
     for (uint32_t e = b; e < en; ++e) {
-        std::size_t off = (std::size_t)e * W + l;
+        std::size_t off = (std::size_t)e * kW + l;
         cx.msg[off] = total - cx.msg[off];
     }
 }
@@ -238,18 +238,16 @@ nibbleMask(uint32_t nib)
 }
 
 /**
- * AVX2 detector pass for NC 4-lane chunks walked in ONE pass over each
- * detector's edges: the two-minimum chains of the chunks are
+ * AVX2 detector pass for the two 4-lane chunks walked in ONE pass over
+ * each detector's edges: the two-minimum chains of the chunks are
  * independent, so interleaving them hides the blend latency, and every
- * message cache line is touched once per pass. Remainder lanes (W % 4)
- * run the scalar kernel; lanes of a processed chunk with no live shot at
- * this detector see only sentinels and produce garbage nobody reads.
+ * message cache line is touched once per pass. Lanes with no live shot
+ * at this detector see only sentinels and produce garbage nobody reads.
  */
-template <int NC>
 __attribute__((target("avx2"))) void
 detPassAvx2(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
+    constexpr int NC = kW / 4;
     const __m256d signMask = _mm256_set1_pd(-0.0);
     const __m256d inactive = _mm256_set1_pd(kInactiveLane);
     const __m256d scaleV = _mm256_set1_pd(cx.scale);
@@ -267,7 +265,7 @@ detPassAvx2(const LaneCtx &cx)
         __m256d signAcc[NC], min1[NC], min2[NC], argpos[NC];
         for (int k = 0; k < NC; ++k) {
             signAcc[k] =
-                _mm256_loadu_pd(cx.synSign + (std::size_t)d * W + 4 * k);
+                _mm256_loadu_pd(cx.synSign + (std::size_t)d * kW + 4 * k);
             min1[k] = inactive;
             min2[k] = inactive;
             argpos[k] = _mm256_set1_pd(-1.0);
@@ -279,14 +277,14 @@ detPassAvx2(const LaneCtx &cx)
             const __m256d idx = _mm256_set1_pd((double)i);
             for (int k = 0; k < NC; ++k) {
                 __m256d am = nibbleMask((act >> (4 * k)) & 0xf);
-                __m256d v = _mm256_loadu_pd(cx.msg + e * W + 4 * k);
+                __m256d v = _mm256_loadu_pd(cx.msg + e * kW + 4 * k);
                 // Region membership: prior on the lane's first
                 // iteration, stored value afterwards, sentinel outside
                 // the region.
                 v = _mm256_blendv_pd(v, priorV,
                                      _mm256_and_pd(am, freshV[k]));
                 v = _mm256_blendv_pd(inactive, v, am);
-                _mm256_storeu_pd(cx.stage + (std::size_t)i * W + 4 * k, v);
+                _mm256_storeu_pd(cx.stage + (std::size_t)i * kW + 4 * k, v);
                 signAcc[k] =
                     _mm256_xor_pd(signAcc[k], _mm256_and_pd(v, signMask));
                 __m256d a = _mm256_andnot_pd(signMask, v);
@@ -308,30 +306,24 @@ detPassAvx2(const LaneCtx &cx)
             const __m256d idx = _mm256_set1_pd((double)i);
             for (int k = 0; k < NC; ++k) {
                 __m256d v =
-                    _mm256_loadu_pd(cx.stage + (std::size_t)i * W + 4 * k);
+                    _mm256_loadu_pd(cx.stage + (std::size_t)i * kW + 4 * k);
                 __m256d eq = _mm256_cmp_pd(idx, argpos[k], _CMP_EQ_OQ);
                 __m256d mag = _mm256_blendv_pd(m1[k], m2[k], eq);
                 // mag >= 0, so OR-ing the product sign bit equals the
                 // scalar ±mag selection bit for bit (including ±0.0).
                 __m256d sb = _mm256_and_pd(
                     _mm256_xor_pd(signAcc[k], v), signMask);
-                _mm256_storeu_pd(cx.msg + e * W + 4 * k,
+                _mm256_storeu_pd(cx.msg + e * kW + 4 * k,
                                  _mm256_or_pd(mag, sb));
-            }
-        }
-        for (std::size_t l = (std::size_t)NC * 4; l < W; ++l) {
-            if ((mask >> l) & 1) {
-                detPassLane(cx, (uint32_t)d, l);
             }
         }
     }
 }
 
-template <int NC>
 __attribute__((target("avx2"))) void
 colPassAvx2(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
+    constexpr int NC = kW / 4;
     const __m256d zero = _mm256_setzero_pd();
     for (std::size_t c = 0; c < cx.numCols; ++c) {
         uint32_t mask = cx.colMask[c];
@@ -347,13 +339,13 @@ colPassAvx2(const LaneCtx &cx)
             for (int k = 0; k < NC; ++k) {
                 tot[k] = _mm256_add_pd(
                     tot[k],
-                    _mm256_loadu_pd(cx.msg + (std::size_t)e * W + 4 * k));
+                    _mm256_loadu_pd(cx.msg + (std::size_t)e * kW + 4 * k));
             }
         }
         for (int k = 0; k < NC; ++k) {
             // Unmasked: inactive lanes' posteriors are garbage nobody
             // reads (a live lane rewrites its slice every iteration).
-            _mm256_storeu_pd(cx.post + (std::size_t)c * W + 4 * k, tot[k]);
+            _mm256_storeu_pd(cx.post + (std::size_t)c * kW + 4 * k, tot[k]);
             uint32_t nib = (mask >> (4 * k)) & 0xf;
             if (nib == 0) {
                 continue;
@@ -371,7 +363,7 @@ colPassAvx2(const LaneCtx &cx)
                         4 * k + (std::size_t)std::countr_zero(changed);
                     for (uint32_t e = b; e < en; ++e) {
                         std::size_t off =
-                            (std::size_t)cx.colDet[e] * W + l;
+                            (std::size_t)cx.colDet[e] * kW + l;
                         cx.acc[off] ^= 1;
                         cx.mismatch[l] +=
                             (cx.acc[off] != cx.synB[off]) ? 1 : -1;
@@ -382,7 +374,7 @@ colPassAvx2(const LaneCtx &cx)
         }
         for (uint32_t e = b; e < en; ++e) {
             for (int k = 0; k < NC; ++k) {
-                std::size_t off = (std::size_t)e * W + 4 * k;
+                std::size_t off = (std::size_t)e * kW + 4 * k;
                 // In-place and unmasked: garbage lanes stay garbage, the
                 // detector pass's membership blend restores semantics.
                 _mm256_storeu_pd(
@@ -390,119 +382,79 @@ colPassAvx2(const LaneCtx &cx)
                     _mm256_sub_pd(tot[k], _mm256_loadu_pd(cx.msg + off)));
             }
         }
-        for (std::size_t l = (std::size_t)NC * 4; l < W; ++l) {
-            if ((mask >> l) & 1) {
-                colPassLane(cx, (uint32_t)c, l);
-            }
-        }
     }
 }
 
 /**
- * AVX-512 kernels: one 512-bit vector carries a whole 8-lane chunk, so
- * W=8 runs in a single chunk (W=16 in two) with half the instruction
- * stream of the AVX2 pair — and the per-edge lane bit planes become
- * native predicate masks (__mmask8) instead of nibble-expanded blend
- * vectors. Every select/compare mirrors the AVX2 kernel operation for
- * operation per lane, and all sign handling stays integer bit
+ * AVX-512 kernels: one 512-bit vector carries all 8 lanes, half the
+ * instruction stream of the AVX2 pair — and the per-edge lane bit planes
+ * become native predicate masks (__mmask8) instead of nibble-expanded
+ * blend vectors. Every select/compare mirrors the AVX2 kernel operation
+ * for operation per lane, and all sign handling stays integer bit
  * manipulation, so the three kernel tiers are bit-identical.
  */
 
-template <int NC>
 __attribute__((target("avx512f"))) void
 detPassAvx512(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
     const __m512i signMask = _mm512_set1_epi64(INT64_MIN);
     const __m512i absMask = _mm512_set1_epi64(INT64_MAX);
     const __m512d inactive = _mm512_set1_pd(kInactiveLane);
     const __m512d scaleV = _mm512_set1_pd(cx.scale);
-    __mmask8 fresh[NC];
-    for (int k = 0; k < NC; ++k) {
-        fresh[k] = (__mmask8)(cx.freshLanes >> (8 * k));
-    }
+    const __mmask8 fresh = (__mmask8)cx.freshLanes;
     for (std::size_t d = 0; d < cx.numDetectors; ++d) {
-        uint32_t mask = cx.detMask[d];
-        if (mask == 0) {
+        if (cx.detMask[d] == 0) {
             continue;
         }
         uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
         uint32_t deg = en - b;
-        __m512i signAcc[NC];
-        __m512d min1[NC], min2[NC], argpos[NC];
-        for (int k = 0; k < NC; ++k) {
-            signAcc[k] = _mm512_castpd_si512(
-                _mm512_loadu_pd(cx.synSign + (std::size_t)d * W + 8 * k));
-            min1[k] = inactive;
-            min2[k] = inactive;
-            argpos[k] = _mm512_set1_pd(-1.0);
-        }
+        __m512i signAcc =
+            _mm512_castpd_si512(_mm512_loadu_pd(cx.synSign + d * kW));
+        __m512d min1 = inactive, min2 = inactive;
+        __m512d argpos = _mm512_set1_pd(-1.0);
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            uint32_t act = cx.edgeActive[e];
-            const __m512d priorV = _mm512_set1_pd(cx.edgePrior[e]);
-            const __m512d idx = _mm512_set1_pd((double)i);
-            for (int k = 0; k < NC; ++k) {
-                __mmask8 am = (__mmask8)(act >> (8 * k));
-                __m512d v = _mm512_loadu_pd(cx.msg + e * W + 8 * k);
-                // Region membership: prior on the lane's first
-                // iteration, stored value afterwards, sentinel outside
-                // the region.
-                v = _mm512_mask_blend_pd((__mmask8)(am & fresh[k]), v,
-                                         priorV);
-                v = _mm512_mask_blend_pd(am, inactive, v);
-                _mm512_storeu_pd(cx.stage + (std::size_t)i * W + 8 * k, v);
-                __m512i vi = _mm512_castpd_si512(v);
-                signAcc[k] = _mm512_xor_epi64(
-                    signAcc[k], _mm512_and_epi64(vi, signMask));
-                __m512d a = _mm512_castsi512_pd(
-                    _mm512_and_epi64(vi, absMask));
-                __mmask8 lt1 = _mm512_cmp_pd_mask(a, min1[k], _CMP_LT_OQ);
-                __mmask8 lt2 = _mm512_cmp_pd_mask(a, min2[k], _CMP_LT_OQ);
-                min2[k] = _mm512_mask_blend_pd(
-                    lt1, _mm512_mask_blend_pd(lt2, min2[k], a), min1[k]);
-                min1[k] = _mm512_mask_blend_pd(lt1, min1[k], a);
-                argpos[k] = _mm512_mask_blend_pd(lt1, argpos[k], idx);
-            }
+            __mmask8 am = (__mmask8)cx.edgeActive[e];
+            __m512d v = _mm512_loadu_pd(cx.msg + e * kW);
+            // Region membership: prior on the lane's first iteration,
+            // stored value afterwards, sentinel outside the region.
+            v = _mm512_mask_blend_pd((__mmask8)(am & fresh), v,
+                                     _mm512_set1_pd(cx.edgePrior[e]));
+            v = _mm512_mask_blend_pd(am, inactive, v);
+            _mm512_storeu_pd(cx.stage + (std::size_t)i * kW, v);
+            __m512i vi = _mm512_castpd_si512(v);
+            signAcc = _mm512_xor_epi64(signAcc, _mm512_and_epi64(vi, signMask));
+            __m512d a = _mm512_castsi512_pd(_mm512_and_epi64(vi, absMask));
+            __mmask8 lt1 = _mm512_cmp_pd_mask(a, min1, _CMP_LT_OQ);
+            __mmask8 lt2 = _mm512_cmp_pd_mask(a, min2, _CMP_LT_OQ);
+            min2 = _mm512_mask_blend_pd(
+                lt1, _mm512_mask_blend_pd(lt2, min2, a), min1);
+            min1 = _mm512_mask_blend_pd(lt1, min1, a);
+            argpos = _mm512_mask_blend_pd(lt1, argpos,
+                                          _mm512_set1_pd((double)i));
         }
-        __m512d m1[NC], m2[NC];
-        for (int k = 0; k < NC; ++k) {
-            m1[k] = _mm512_mul_pd(scaleV, min1[k]);
-            m2[k] = _mm512_mul_pd(scaleV, min2[k]);
-        }
+        __m512d m1 = _mm512_mul_pd(scaleV, min1);
+        __m512d m2 = _mm512_mul_pd(scaleV, min2);
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            const __m512d idx = _mm512_set1_pd((double)i);
-            for (int k = 0; k < NC; ++k) {
-                __m512d v =
-                    _mm512_loadu_pd(cx.stage + (std::size_t)i * W + 8 * k);
-                __mmask8 eq =
-                    _mm512_cmp_pd_mask(idx, argpos[k], _CMP_EQ_OQ);
-                __m512d mag = _mm512_mask_blend_pd(eq, m1[k], m2[k]);
-                // mag >= 0, so OR-ing the product sign bit equals the
-                // scalar ±mag selection bit for bit (including ±0.0).
-                __m512i sb = _mm512_and_epi64(
-                    _mm512_xor_epi64(signAcc[k], _mm512_castpd_si512(v)),
-                    signMask);
-                _mm512_storeu_pd(
-                    cx.msg + e * W + 8 * k,
-                    _mm512_castsi512_pd(_mm512_or_epi64(
-                        _mm512_castpd_si512(mag), sb)));
-            }
-        }
-        for (std::size_t l = (std::size_t)NC * 8; l < W; ++l) {
-            if ((mask >> l) & 1) {
-                detPassLane(cx, (uint32_t)d, l);
-            }
+            __m512d v = _mm512_loadu_pd(cx.stage + (std::size_t)i * kW);
+            __mmask8 eq = _mm512_cmp_pd_mask(_mm512_set1_pd((double)i),
+                                             argpos, _CMP_EQ_OQ);
+            __m512d mag = _mm512_mask_blend_pd(eq, m1, m2);
+            // mag >= 0, so OR-ing the product sign bit equals the scalar
+            // ±mag selection bit for bit (including ±0.0).
+            __m512i sb = _mm512_and_epi64(
+                _mm512_xor_epi64(signAcc, _mm512_castpd_si512(v)), signMask);
+            _mm512_storeu_pd(cx.msg + e * kW,
+                             _mm512_castsi512_pd(_mm512_or_epi64(
+                                 _mm512_castpd_si512(mag), sb)));
         }
     }
 }
 
-template <int NC>
 __attribute__((target("avx512f"))) void
 colPassAvx512(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
     const __m512d zero = _mm512_setzero_pd();
     for (std::size_t c = 0; c < cx.numCols; ++c) {
         uint32_t mask = cx.colMask[c];
@@ -510,60 +462,35 @@ colPassAvx512(const LaneCtx &cx)
             continue;
         }
         uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
-        __m512d tot[NC];
-        for (int k = 0; k < NC; ++k) {
-            tot[k] = _mm512_set1_pd(cx.prior[c]);
+        __m512d tot = _mm512_set1_pd(cx.prior[c]);
+        for (uint32_t e = b; e < en; ++e) {
+            tot = _mm512_add_pd(tot,
+                                _mm512_loadu_pd(cx.msg + (std::size_t)e * kW));
+        }
+        // Unmasked: inactive lanes' posteriors are garbage nobody reads (a
+        // live lane rewrites its slice every iteration).
+        _mm512_storeu_pd(cx.post + c * kW, tot);
+        uint32_t hNow =
+            (uint32_t)_mm512_cmp_pd_mask(tot, zero, _CMP_LT_OQ) & mask;
+        uint32_t changed = hNow ^ cx.hardBits[c];
+        if (changed != 0) {
+            cx.hardBits[c] = hNow;
+        }
+        while (changed != 0) {
+            std::size_t l = (std::size_t)std::countr_zero(changed);
+            for (uint32_t e = b; e < en; ++e) {
+                std::size_t off = (std::size_t)cx.colDet[e] * kW + l;
+                cx.acc[off] ^= 1;
+                cx.mismatch[l] += (cx.acc[off] != cx.synB[off]) ? 1 : -1;
+            }
+            changed &= changed - 1;
         }
         for (uint32_t e = b; e < en; ++e) {
-            for (int k = 0; k < NC; ++k) {
-                tot[k] = _mm512_add_pd(
-                    tot[k],
-                    _mm512_loadu_pd(cx.msg + (std::size_t)e * W + 8 * k));
-            }
-        }
-        for (int k = 0; k < NC; ++k) {
-            // Unmasked: inactive lanes' posteriors are garbage nobody
-            // reads (a live lane rewrites its slice every iteration).
-            _mm512_storeu_pd(cx.post + (std::size_t)c * W + 8 * k, tot[k]);
-            uint32_t oct = (mask >> (8 * k)) & 0xff;
-            if (oct == 0) {
-                continue;
-            }
-            uint32_t hNow =
-                (uint32_t)_mm512_cmp_pd_mask(tot[k], zero, _CMP_LT_OQ) &
-                oct;
-            uint32_t hPrev = (cx.hardBits[c] >> (8 * k)) & 0xff;
-            uint32_t changed = hNow ^ hPrev;
-            if (changed != 0) {
-                cx.hardBits[c] ^= changed << (8 * k);
-                while (changed != 0) {
-                    std::size_t l =
-                        8 * k + (std::size_t)std::countr_zero(changed);
-                    for (uint32_t e = b; e < en; ++e) {
-                        std::size_t off =
-                            (std::size_t)cx.colDet[e] * W + l;
-                        cx.acc[off] ^= 1;
-                        cx.mismatch[l] +=
-                            (cx.acc[off] != cx.synB[off]) ? 1 : -1;
-                    }
-                    changed &= changed - 1;
-                }
-            }
-        }
-        for (uint32_t e = b; e < en; ++e) {
-            for (int k = 0; k < NC; ++k) {
-                std::size_t off = (std::size_t)e * W + 8 * k;
-                // In-place and unmasked: garbage lanes stay garbage, the
-                // detector pass's membership blend restores semantics.
-                _mm512_storeu_pd(
-                    cx.msg + off,
-                    _mm512_sub_pd(tot[k], _mm512_loadu_pd(cx.msg + off)));
-            }
-        }
-        for (std::size_t l = (std::size_t)NC * 8; l < W; ++l) {
-            if ((mask >> l) & 1) {
-                colPassLane(cx, (uint32_t)c, l);
-            }
+            std::size_t off = (std::size_t)e * kW;
+            // In-place and unmasked: garbage lanes stay garbage, the
+            // detector pass's membership blend restores semantics.
+            _mm512_storeu_pd(cx.msg + off,
+                             _mm512_sub_pd(tot, _mm512_loadu_pd(cx.msg + off)));
         }
     }
 }
@@ -607,23 +534,20 @@ laneUseAvx512()
 } // namespace
 
 void
-BpOsdDecoder::laneEnsure(std::size_t w)
+BpOsdDecoder::laneEnsure()
 {
     std::size_t edges = tanner_->colDet.size();
     std::size_t ne = tanner_->colDets.size();
-    if (laneW_ == w && laneMsg_.size() == edges * w) {
+    if (laneHardBits_.size() == ne && laneMsg_.size() == edges * kW) {
         return;
     }
-    laneW_ = w;
-    laneMsg_.assign(edges * w, 0.0);
-    lanePost_.assign(ne * w, 0.0);
+    laneMsg_.assign(edges * kW, 0.0);
+    lanePost_.assign(ne * kW, 0.0);
     laneEdgeActive_.assign(edges, 0);
-    if (edgePrior_.empty()) {
-        edgePrior_.resize(edges);
-        for (std::size_t c = 0; c < ne; ++c) {
-            for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-                edgePrior_[e] = tanner_->prior[c];
-            }
+    edgePrior_.resize(edges);
+    for (std::size_t c = 0; c < ne; ++c) {
+        for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
+            edgePrior_[e] = tanner_->prior[c];
         }
     }
     std::size_t maxDeg = 0;
@@ -631,28 +555,19 @@ BpOsdDecoder::laneEnsure(std::size_t w)
         maxDeg = std::max<std::size_t>(maxDeg,
                                        tanner_->detBegin[d + 1] - tanner_->detBegin[d]);
     }
-    laneStage_.assign(maxDeg * w, 0.0);
+    laneStage_.assign(maxDeg * kW, 0.0);
     laneHardBits_.assign(ne, 0);
-    laneAcc_.assign(numDetectors_ * w, 0);
-    laneSynB_.assign(numDetectors_ * w, 0);
-    laneSynSign_.assign(numDetectors_ * w, 0.0);
+    laneAcc_.assign(numDetectors_ * kW, 0);
+    laneSynB_.assign(numDetectors_ * kW, 0);
+    laneSynSign_.assign(numDetectors_ * kW, 0.0);
     colLaneMask_.assign(ne, 0);
     detLaneMask_.assign(numDetectors_, 0);
-    laneCols_.assign(w, {});
-    laneFlipped_.assign(w, {});
-    laneShot_.assign(w, 0);
-    laneLive_.assign(w, 0);
-    laneMismatch_.assign(w, 0);
-    laneBest_.assign(w, 0);
-    laneSinceBest_.assign(w, 0);
-    laneIter_.assign(w, 0);
 }
 
 void
 BpOsdDecoder::laneInstall(std::size_t l, std::size_t shot,
                           const std::vector<uint32_t> &flipped)
 {
-    const std::size_t W = laneW_;
     uint32_t bit = uint32_t{1} << l;
     uint16_t ebit = (uint16_t)(1u << l);
     // The caller just grew the region into errs_; take it over wholesale.
@@ -684,8 +599,8 @@ BpOsdDecoder::laneInstall(std::size_t l, std::size_t shot,
         }
     }
     for (uint32_t d : laneFlipped_[l]) {
-        laneSynB_[(std::size_t)d * W + l] = 1;
-        laneSynSign_[(std::size_t)d * W + l] = -0.0;
+        laneSynB_[(std::size_t)d * kW + l] = 1;
+        laneSynSign_[(std::size_t)d * kW + l] = -0.0;
     }
     laneShot_[l] = shot;
     laneLive_[l] = 1;
@@ -703,7 +618,6 @@ BpOsdDecoder::osdEnqueue(std::size_t l)
         osdQueue_.emplace_back();
     }
     OsdJob &job = osdQueue_[osdQueueSize_++];
-    const std::size_t W = laneW_;
     std::size_t ne = tanner_->colDets.size();
     job.shot = laneShot_[l];
     job.saturated = laneCols_[l].size() == ne;
@@ -716,7 +630,7 @@ BpOsdDecoder::osdEnqueue(std::size_t l)
         job.cols.clear();
         job.post.resize(ne);
         for (std::size_t c = 0; c < ne; ++c) {
-            job.post[c] = lanePost_[c * W + l];
+            job.post[c] = lanePost_[c * kW + l];
         }
     } else {
         job.cols.assign(laneCols_[l].begin(), laneCols_[l].end());
@@ -728,7 +642,7 @@ BpOsdDecoder::osdEnqueue(std::size_t l)
         job.sig = h;
         job.post.resize(job.cols.size());
         for (std::size_t i = 0; i < job.cols.size(); ++i) {
-            job.post[i] = lanePost_[(std::size_t)job.cols[i] * W + l];
+            job.post[i] = lanePost_[(std::size_t)job.cols[i] * kW + l];
         }
     }
     job.flipped.assign(laneFlipped_[l].begin(), laneFlipped_[l].end());
@@ -772,7 +686,7 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
             }
             ++j;
         }
-        // Row numbering for the packed backend: global detector rows
+        // Row numbering: global detector rows
         // skip the per-job detLocal_ rebuild, but the elimination's word
         // width then scales with numDetectors_ instead of the region's
         // detector count — a loss on large-detector DEMs with small
@@ -780,21 +694,16 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
         // count (an upper bound on its detector count, computed without
         // building the numbering): global rows only when at most ~4x
         // wider than the worst-case local numbering. Either numbering
-        // produces identical solutions. The scalar reference backend
-        // always uses the region-local numbering it has always used.
-        bool packed = opts_.packedOsd;
-        bool globalRows = packed;
-        if (packed) {
-            std::size_t edgeBound = 0;
-            for (uint32_t c : cols) {
-                edgeBound += tanner_->colBegin[c + 1] - tanner_->colBegin[c];
-                if (4 * edgeBound >= numDetectors_) {
-                    break;
-                }
+        // produces identical solutions.
+        std::size_t edgeBound = 0;
+        for (uint32_t c : cols) {
+            edgeBound += tanner_->colBegin[c + 1] - tanner_->colBegin[c];
+            if (4 * edgeBound >= numDetectors_) {
+                break;
             }
-            globalRows = numDetectors_ <= 4 * edgeBound;
         }
-        if (!packed || !globalRows) {
+        bool globalRows = numDetectors_ <= 4 * edgeBound;
+        if (!globalRows) {
             regionDets_.clear();
             for (uint32_t c : cols) {
                 for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1];
@@ -815,7 +724,7 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
         OsdColCache *cache = nullptr;
         std::size_t cacheRows =
             globalRows ? numDetectors_ : regionDets_.size();
-        if (packed && j - i > 1 &&
+        if (j - i > 1 &&
             cols.size() * ((cacheRows + 63) / 64) * 8 <= 32u << 20) {
             osdCache_.bits.reset(cols.size(), cacheRows);
             osdCache_.built.assign(cols.size(), 0);
@@ -826,8 +735,8 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
         osdFallbackIdx_.clear();
         for (std::size_t k = i; k < j; ++k) {
             OsdJob &job = osdQueue_[osdOrderIdx_[k]];
-            bool solved = osdSolveImpl(cols, job.post.data(), job.flipped,
-                                       packed, cache, globalRows);
+            bool solved = osdSolve(cols, job.post.data(), job.flipped, cache,
+                                   globalRows);
             if (solved) {
                 uint64_t result = 0;
                 for (std::size_t c = 0; c < cols.size(); ++c) {
@@ -840,7 +749,7 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
                 osdFallbackIdx_.push_back(osdOrderIdx_[k]);
             }
         }
-        if (!packed || !globalRows) {
+        if (!globalRows) {
             for (uint32_t d : regionDets_) {
                 detLocal_[d] = -1;
             }
@@ -867,7 +776,6 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
 void
 BpOsdDecoder::laneRetire(std::size_t l, bool converged, uint64_t *obs_out)
 {
-    const std::size_t W = laneW_;
     uint32_t bit = uint32_t{1} << l;
     uint16_t ebit = (uint16_t)(1u << l);
     if (converged) {
@@ -899,11 +807,11 @@ BpOsdDecoder::laneRetire(std::size_t l, bool converged, uint64_t *obs_out)
     }
     for (std::size_t d = 0; d < numDetectors_; ++d) {
         detLaneMask_[d] &= ~bit;
-        laneAcc_[d * W + l] = 0;
+        laneAcc_[d * kW + l] = 0;
     }
     for (uint32_t d : laneFlipped_[l]) {
-        laneSynB_[(std::size_t)d * W + l] = 0;
-        laneSynSign_[(std::size_t)d * W + l] = 0.0;
+        laneSynB_[(std::size_t)d * kW + l] = 0;
+        laneSynSign_[(std::size_t)d * kW + l] = 0.0;
     }
     laneCols_[l].clear();
     laneFlipped_[l].clear();
@@ -914,12 +822,11 @@ void
 BpOsdDecoder::laneIterate(int simd_level)
 {
     LaneCtx cx;
-    cx.W = laneW_;
     cx.numDetectors = numDetectors_;
     cx.numCols = tanner_->colDets.size();
     cx.scale = opts_.scale;
     cx.freshLanes = 0;
-    for (std::size_t l = 0; l < laneW_; ++l) {
+    for (std::size_t l = 0; l < kW; ++l) {
         if (laneLive_[l] && laneIter_[l] == 0) {
             cx.freshLanes |= uint32_t{1} << l;
         }
@@ -942,29 +849,14 @@ BpOsdDecoder::laneIterate(int simd_level)
     cx.colMask = colLaneMask_.data();
     cx.mismatch = laneMismatch_.data();
 #if PROPHUNT_LANES_X86
-    if (simd_level >= 2 && laneW_ == 8) {
-        detPassAvx512<1>(cx);
-        colPassAvx512<1>(cx);
+    if (simd_level >= 2) {
+        detPassAvx512(cx);
+        colPassAvx512(cx);
         return;
     }
-    if (simd_level >= 2 && laneW_ == 16) {
-        detPassAvx512<2>(cx);
-        colPassAvx512<2>(cx);
-        return;
-    }
-    if (simd_level >= 1 && laneW_ == 8) {
-        detPassAvx2<2>(cx);
-        colPassAvx2<2>(cx);
-        return;
-    }
-    if (simd_level >= 1 && laneW_ == 4) {
-        detPassAvx2<1>(cx);
-        colPassAvx2<1>(cx);
-        return;
-    }
-    if (simd_level >= 1 && laneW_ == 16) {
-        detPassAvx2<4>(cx);
-        colPassAvx2<4>(cx);
+    if (simd_level >= 1) {
+        detPassAvx2(cx);
+        colPassAvx2(cx);
         return;
     }
 #else
@@ -978,13 +870,6 @@ void
 BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
                            PackedDecodeStats *stats)
 {
-    std::size_t W = std::min(opts_.laneWidth, kMaxLaneWidth);
-    if (W == 0) {
-        // Scalar reference path: the base adapter (one transpose, then the
-        // PR 2 batched decode).
-        Decoder::decodePacked(frames, obs_out, stats);
-        return;
-    }
     std::size_t shots = frames.shots;
     if (stats != nullptr) {
         stats->packedShots += shots;
@@ -992,7 +877,7 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
     if (shots == 0) {
         return;
     }
-    laneEnsure(W);
+    laneEnsure();
 
     // Per-shot flipped-detector lists straight from the detector-major
     // words (two counting-sort passes). Scanning detectors in ascending
@@ -1047,7 +932,7 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
             // Zero-iteration BP goes straight to OSD in the scalar path;
             // serve this pathological config from there instead of
             // special-casing the lane loop.
-            obs_out[s] = decodeFast(flippedScratch_);
+            obs_out[s] = decode(flippedScratch_);
             continue;
         }
         bool disconnected = false;
@@ -1066,15 +951,12 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
         laneQueue_.push_back((uint32_t)s);
     }
 
-    int simd = W >= 4 && laneUseAvx2() ? 1 : 0;
-    if (simd == 1 && (W == 8 || W == 16) && laneUseAvx512()) {
-        simd = 2;
-    }
+    int simd = !laneUseAvx2() ? 0 : laneUseAvx512() ? 2 : 1;
     std::size_t next = 0;
     std::size_t live = 0;
     for (;;) {
         // Refill free lanes from the queue.
-        for (std::size_t l = 0; l < W; ++l) {
+        for (std::size_t l = 0; l < kW; ++l) {
             while (!laneLive_[l] && next < laneQueue_.size()) {
                 std::size_t s = laneQueue_[next++];
                 uint32_t fb = packedOffsets_[s], fe = packedOffsets_[s + 1];
@@ -1098,10 +980,10 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
         laneIterate(simd);
         if (stats != nullptr) {
             stats->laneSlotsBusy += live;
-            stats->laneSlotsTotal += W;
+            stats->laneSlotsTotal += kW;
         }
         // Per-lane stopping rules, mirroring the scalar iteration loop.
-        for (std::size_t l = 0; l < W; ++l) {
+        for (std::size_t l = 0; l < kW; ++l) {
             if (!laneLive_[l]) {
                 continue;
             }

@@ -26,10 +26,10 @@ namespace prophunt::decoder {
  * transposed into row layout and routed through decodeBatch by the base
  * adapter. The lane counters expose the lane engine's occupancy: busy is
  * the number of (lane, BP-iteration) slots that carried a live shot,
- * total is laneWidth times the iterations the engine ran. The OSD
- * counters account the lane engine's batched OSD post-pass: `osdShots`
- * is the number of shots whose lane retired without BP convergence and
- * went through the GF(2) elimination (or its scalar reference), `osdUs`
+ * total is BpOsdOptions::kLaneWidth times the iterations the engine ran.
+ * The OSD counters account the lane engine's batched OSD post-pass:
+ * `osdShots` is the number of shots whose lane retired without BP
+ * convergence and went through the GF(2) elimination, `osdUs`
  * the wall microseconds spent inside that post-pass (packed-column
  * build, elimination, and the full-graph fallback for unexplainable
  * regions).
@@ -82,13 +82,13 @@ class Decoder
     /**
      * Decode shots [first, first + count) of a row-layout batch.
      *
-     * Writes one predicted observable mask per shot into @p obs_out. Must
-     * match per-shot decode() bit for bit; the default implementation loops
-     * over decode() with a reusable flipped-detector buffer, and decoders
-     * with a genuinely batched path (BP+OSD) override it.
+     * Writes one predicted observable mask per shot into @p obs_out: a
+     * loop over decode() with a reusable flipped-detector buffer, so it
+     * matches per-shot decode() bit for bit by construction. Row-layout
+     * decoders reach it through the decodePacked adapter.
      */
-    virtual void decodeBatch(const sim::SampleBatch &batch, std::size_t first,
-                             std::size_t count, uint64_t *obs_out);
+    void decodeBatch(const sim::SampleBatch &batch, std::size_t first,
+                     std::size_t count, uint64_t *obs_out);
 
     /**
      * Decode every shot of a bit-packed, detector-major frame view.

@@ -45,9 +45,7 @@ DecoderSpec::describe() const
     } else if (const auto *bp = std::get_if<BpOsdOptions>(&options)) {
         os << "{maxIterations=" << bp->maxIterations
            << ",scale=" << bp->scale << ",regionRadius=" << bp->regionRadius
-           << ",stagnationWindow=" << bp->stagnationWindow
-           << ",laneWidth=" << bp->laneWidth
-           << ",packedOsd=" << bp->packedOsd << "}";
+           << ",stagnationWindow=" << bp->stagnationWindow << "}";
     } else if (const auto *mle = std::get_if<MleOptions>(&options)) {
         os << "{maxWeight=" << mle->maxWeight << "}";
     }

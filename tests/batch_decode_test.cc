@@ -2,9 +2,9 @@
  * @file
  * decodeBatch contracts: the batched path must equal per-shot decode bit
  * for bit for every decoder; the BP+OSD hot path must reproduce the
- * original per-region reference implementation exactly in exact mode
- * (stagnationWindow = 0) and keep equal statistical quality in the
- * default stagnation-window mode.
+ * seed-faithful reference decoder (tests/support/bp_osd_reference.h)
+ * exactly in exact mode (stagnationWindow = 0) and keep equal
+ * statistical quality in the default stagnation-window mode.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
 #include "sim/sampler.h"
+#include "support/bp_osd_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -126,7 +127,7 @@ TEST(BatchDecode, UnionFindBatchEqualsDecode)
 
 TEST(BatchDecode, ExactModeMatchesReferenceOnRandomDems)
 {
-    // stagnationWindow = 0 must reproduce the original per-region
+    // stagnationWindow = 0 must reproduce the seed per-region
     // implementation bit for bit — the global-Tanner rewrite may not
     // change a single prediction.
     decoder::BpOsdOptions exact;
@@ -134,11 +135,13 @@ TEST(BatchDecode, ExactModeMatchesReferenceOnRandomDems)
     for (uint64_t seed : {11u, 12u, 13u, 14u}) {
         Dem dem = randomDem(seed, 50, 160, 0.04);
         decoder::BpOsdDecoder dec(dem, exact);
+        auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
         SampleBatch batch = sampleDem(dem, 500, seed + 100);
         std::vector<uint32_t> scratch;
         for (std::size_t s = 0; s < batch.shots; ++s) {
             batch.flippedDetectors(s, scratch);
-            EXPECT_EQ(dec.decode(scratch), dec.decodeReference(scratch))
+            EXPECT_EQ(dec.decode(scratch),
+                      testsupport::referenceDecode(*tanner, exact, scratch))
                 << "seed " << seed << " shot " << s;
         }
     }
@@ -151,11 +154,13 @@ TEST(BatchDecode, ExactModeMatchesReferenceOnLdpcCircuit)
     for (double p : {1e-3, 4e-3}) {
         Dem dem = ldpcDem(p);
         decoder::BpOsdDecoder dec(dem, exact);
+        auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
         SampleBatch batch = sampleDem(dem, 800, 201);
         std::vector<uint32_t> scratch;
         for (std::size_t s = 0; s < batch.shots; ++s) {
             batch.flippedDetectors(s, scratch);
-            EXPECT_EQ(dec.decode(scratch), dec.decodeReference(scratch))
+            EXPECT_EQ(dec.decode(scratch),
+                      testsupport::referenceDecode(*tanner, exact, scratch))
                 << "p " << p << " shot " << s;
         }
     }
@@ -188,9 +193,9 @@ TEST(BatchDecode, StagnationWindowKeepsStatisticalQuality)
 
 TEST(BatchDecode, LerEngineThreadInvariantThroughPackedPipeline)
 {
-    // measureDemLer now samples packed, transposes per shard, and decodes
-    // through decodeBatch; failures must stay thread-count independent
-    // with the BP+OSD decoder in the loop.
+    // measureDemLer samples packed and decodes each shard through
+    // decodePacked; failures must stay thread-count independent with the
+    // BP+OSD decoder in the loop.
     Dem dem = ldpcDem(4e-3);
     decoder::BpOsdDecoder dec(dem);
     decoder::LerOptions base;

@@ -2,14 +2,14 @@
  * @file
  * Packed-decode contracts of the lane engine.
  *
- * decodePacked must equal decodeBatch must equal per-shot decode(),
- * observable for observable, for every laneWidth — 0 (the transpose +
- * batched adapter), 4/8 (AVX2 kernels where available), the maximum
- * width, and an odd width that exercises the scalar remainder lanes —
- * across random DEMs and lp39/rqt54 circuit DEMs, including odd shot
- * counts that leave a partial final 64-shot word. Also pins down the
- * engine's shot-order/thread-count invariance through measureDemLer and
- * the generic (no-AVX2) kernel cross-check.
+ * decodePacked must equal the base-class decodeBatch must equal per-shot
+ * decode(), observable for observable, and in exact mode
+ * (stagnationWindow = 0) it must equal the seed-faithful reference
+ * decoder (tests/support/bp_osd_reference.h) — across random DEMs and
+ * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
+ * final 64-shot word. Also pins down the engine's shot-order/thread-count
+ * invariance through measureDemLer and the AVX-512 / AVX2 / generic
+ * kernel cross-check.
  */
 #include <gtest/gtest.h>
 
@@ -28,6 +28,7 @@
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
 #include "sim/sampler.h"
+#include "support/bp_osd_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -76,58 +77,53 @@ circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
     return buildDem(circ, NoiseModel::uniform(p));
 }
 
-/** The tested width matrix: scalar reference path, both AVX2 kernel
- * widths, an odd width (scalar remainder lanes), and the maximum. */
-const std::size_t kWidths[] = {0, 4, 8, 5,
-                               decoder::BpOsdDecoder::kMaxLaneWidth};
-
-/** decodePacked == decodeBatch == decode for every lane width. */
-void
-expectPackedMatrixEquals(const Dem &dem, const FrameBatch &frames)
+/**
+ * decodePacked == decodeBatch == decode under @p opts, and decodePacked
+ * under @p opts in exact mode == the reference decoder. Returns the
+ * lane-engine stats of the @p opts run.
+ */
+decoder::PackedDecodeStats
+expectPackedMatrixEquals(const Dem &dem, const FrameBatch &frames,
+                         decoder::BpOsdOptions opts = {})
 {
     SampleBatch rows;
     transposeFrames(frames, rows);
-    // The laneWidth=0 reference: the PR 2 batched path.
-    decoder::BpOsdOptions refOpts;
-    refOpts.laneWidth = 0;
-    decoder::BpOsdDecoder refDec(dem, refOpts);
+    decoder::BpOsdDecoder dec(dem, opts);
     std::vector<uint64_t> batched(frames.shots);
-    refDec.decodeBatch(rows, 0, frames.shots, batched.data());
+    dec.decodeBatch(rows, 0, frames.shots, batched.data());
 
-    std::vector<uint64_t> viaPacked(frames.shots);
-    decoder::PackedDecodeStats stats;
-    refDec.decodePacked(frames.view(), viaPacked.data(), &stats);
-    EXPECT_EQ(viaPacked, batched) << "laneWidth 0 adapter";
-    EXPECT_EQ(stats.adapterShots, frames.shots);
-    EXPECT_EQ(stats.packedShots, 0u);
-
-    std::vector<uint32_t> scratch;
-    for (std::size_t w : kWidths) {
-        if (w == 0) {
-            continue;
-        }
-        decoder::BpOsdOptions opts;
-        opts.laneWidth = w;
-        decoder::BpOsdDecoder dec(dem, opts);
-        std::vector<uint64_t> lane(frames.shots, ~uint64_t{0});
-        decoder::PackedDecodeStats st;
-        dec.decodePacked(frames.view(), lane.data(), &st);
-        EXPECT_EQ(st.packedShots, frames.shots) << "laneWidth " << w;
-        EXPECT_EQ(st.adapterShots, 0u) << "laneWidth " << w;
-        for (std::size_t s = 0; s < frames.shots; ++s) {
-            ASSERT_EQ(lane[s], batched[s])
-                << "laneWidth " << w << " shot " << s;
-        }
-        // Spot-check per-shot decode() on the same decoder instance: the
-        // scalar entry point must agree after the lane engine ran (the
-        // shared scratch invariants survived).
-        for (std::size_t s = 0; s < std::min<std::size_t>(frames.shots, 64);
-             ++s) {
-            rows.flippedDetectors(s, scratch);
-            ASSERT_EQ(dec.decode(scratch), batched[s])
-                << "laneWidth " << w << " decode() shot " << s;
-        }
+    std::vector<uint64_t> lane(frames.shots, ~uint64_t{0});
+    decoder::PackedDecodeStats st;
+    dec.decodePacked(frames.view(), lane.data(), &st);
+    EXPECT_EQ(st.packedShots, frames.shots);
+    EXPECT_EQ(st.adapterShots, 0u);
+    for (std::size_t s = 0; s < frames.shots; ++s) {
+        EXPECT_EQ(lane[s], batched[s]) << "shot " << s;
     }
+    // Spot-check per-shot decode() on the same decoder instance: the
+    // scalar entry point must agree after the lane engine ran (the
+    // shared scratch invariants survived).
+    std::vector<uint32_t> scratch;
+    for (std::size_t s = 0; s < std::min<std::size_t>(frames.shots, 64);
+         ++s) {
+        rows.flippedDetectors(s, scratch);
+        EXPECT_EQ(dec.decode(scratch), batched[s]) << "decode() shot " << s;
+    }
+
+    // Exact mode: the lane engine itself against the reference decoder.
+    decoder::BpOsdOptions exact = opts;
+    exact.stagnationWindow = 0;
+    decoder::BpOsdDecoder exactDec(dem, exact);
+    auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
+    std::vector<uint64_t> exactLane(frames.shots, ~uint64_t{0});
+    exactDec.decodePacked(frames.view(), exactLane.data());
+    for (std::size_t s = 0; s < frames.shots; ++s) {
+        rows.flippedDetectors(s, scratch);
+        EXPECT_EQ(exactLane[s],
+                  testsupport::referenceDecode(*tanner, exact, scratch))
+            << "exact-mode shot " << s;
+    }
+    return st;
 }
 
 } // namespace
@@ -159,36 +155,20 @@ TEST(LaneDecode, MatrixOnRqt54CircuitDem)
 TEST(LaneDecode, OsdHeavyRegimeMatrix)
 {
     // High noise plus a tiny iteration budget: most lanes retire without
-    // BP convergence and flow through the batched OSD work queue. Every
-    // lane width must still reproduce the laneWidth-0 batched path
-    // observable for observable, across odd shot counts that leave a
-    // partial final 64-shot word and force several queue flushes.
+    // BP convergence and flow through the batched OSD work queue. The
+    // lane engine must still reproduce per-shot decode() (immediate OSD)
+    // and, in exact mode, the reference decoder observable for
+    // observable, across odd shot counts that leave a partial final
+    // 64-shot word and force several queue flushes.
     for (std::size_t shots : {37u, 451u}) {
         Dem dem = randomDem(91, 48, 160, 0.12);
         FrameBatch frames = sampleDemFrames(dem, shots, 17);
-        SampleBatch rows;
-        transposeFrames(frames, rows);
-        decoder::BpOsdOptions refOpts;
-        refOpts.laneWidth = 0;
-        refOpts.maxIterations = 3;
-        decoder::BpOsdDecoder refDec(dem, refOpts);
-        std::vector<uint64_t> batched(shots);
-        refDec.decodeBatch(rows, 0, shots, batched.data());
-        for (std::size_t w : kWidths) {
-            if (w == 0) {
-                continue;
-            }
-            decoder::BpOsdOptions opts;
-            opts.laneWidth = w;
-            opts.maxIterations = 3;
-            decoder::BpOsdDecoder dec(dem, opts);
-            std::vector<uint64_t> lane(shots, ~uint64_t{0});
-            decoder::PackedDecodeStats st;
-            dec.decodePacked(frames.view(), lane.data(), &st);
-            EXPECT_EQ(lane, batched) << "laneWidth " << w;
-            // The regime must actually exercise the batched OSD queue.
-            EXPECT_GT(st.osdShots, shots / 4) << "laneWidth " << w;
-        }
+        decoder::BpOsdOptions opts;
+        opts.maxIterations = 3;
+        decoder::PackedDecodeStats st =
+            expectPackedMatrixEquals(dem, frames, opts);
+        // The regime must actually exercise the batched OSD queue.
+        EXPECT_GT(st.osdShots, shots / 4);
     }
 }
 
@@ -217,8 +197,8 @@ TEST(LaneDecode, OsdHeavyCircuitDemAcrossThreads)
         EXPECT_EQ(serial.packed.osdShots, r.packed.osdShots)
             << threads << " threads";
     }
-    // decodeBatch (scalar immediate OSD) must agree shot for shot with
-    // decodePacked (batched OSD queue) on the same frames.
+    // decodeBatch (per-shot decode(), immediate OSD) must agree shot for
+    // shot with decodePacked (batched OSD queue) on the same frames.
     FrameBatch frames = sampleDemFrames(dem, 707, shardSeed(29, 0));
     SampleBatch rows;
     transposeFrames(frames, rows);
@@ -238,7 +218,6 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
     Dem dem = circuitDem(code::benchmarkLp39, 3, 2e-3);
     FrameBatch frames = sampleDemFrames(dem, 200, 5);
     decoder::BpOsdOptions opts;
-    opts.laneWidth = 8;
     decoder::BpOsdDecoder dec(dem, opts);
     std::vector<uint64_t> vec(frames.shots), avx2(frames.shots),
         gen(frames.shots);

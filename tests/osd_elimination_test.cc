@@ -11,12 +11,14 @@
  *    solvability agreement with the augmented-rank criterion, including
  *    duplicate/singular column sets and zero syndromes.
  *
- *  - Differential fuzz of the packed vs reference osdSolve through the
- *    BpOsdDecoder::osdPostPass seam and the full decode paths, over
- *    random DEMs and the lp39/rqt54 circuit DEMs: random posteriors,
- *    degenerate/tied posteriors (the pivot-order tie-break regression),
- *    all-zero syndromes, and OSD-forcing decode settings. The packed
- *    elimination must match the scalar reference bit for bit.
+ *  - Differential fuzz of the packed OSD post-pass (the
+ *    BpOsdDecoder::osdPostPass seam) and the full decode paths against
+ *    the seed-faithful reference (tests/support/bp_osd_reference.h),
+ *    over random DEMs and the lp39/rqt54 circuit DEMs: random
+ *    posteriors, degenerate/tied posteriors (the pivot-order tie-break
+ *    regression), all-zero syndromes, infeasible regions, and
+ *    OSD-forcing decode settings. The packed elimination must match the
+ *    reference elimination bit for bit.
  */
 #include <gtest/gtest.h>
 
@@ -35,6 +37,7 @@
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
+#include "support/bp_osd_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::decoder;
@@ -113,18 +116,21 @@ circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
     return buildDem(circ, sim::NoiseModel::uniform(p));
 }
 
-/** Run osdPostPass with both backends and require identical outcomes. */
+/** Run osdPostPass and the reference OSD-0 and require identical
+ * outcomes. */
 void
-expectBackendsAgree(BpOsdDecoder &dec, const sim::Dem &dem,
-                    const std::vector<uint32_t> &cols,
-                    const std::vector<double> &post,
-                    const std::vector<uint32_t> &flipped)
+expectPostPassMatchesReference(BpOsdDecoder &dec, const sim::Dem &dem,
+                               const testsupport::Tanner &tanner,
+                               const std::vector<uint32_t> &cols,
+                               const std::vector<double> &post,
+                               const std::vector<uint32_t> &flipped)
 {
-    std::vector<uint8_t> usesPacked, usesScalar;
-    bool packedOk = dec.osdPostPass(cols, post, flipped, true, usesPacked);
-    bool scalarOk = dec.osdPostPass(cols, post, flipped, false, usesScalar);
-    ASSERT_EQ(packedOk, scalarOk);
-    ASSERT_EQ(usesPacked, usesScalar);
+    std::vector<uint8_t> usesPacked, usesRef;
+    bool packedOk = dec.osdPostPass(cols, post, flipped, usesPacked);
+    bool refOk =
+        testsupport::referenceOsd0(tanner, cols, post, flipped, usesRef);
+    ASSERT_EQ(packedOk, refOk);
+    ASSERT_EQ(usesPacked, usesRef);
     if (!packedOk) {
         return;
     }
@@ -318,6 +324,7 @@ TEST(OsdPostPass, DifferentialFuzzRandomDems)
     for (uint64_t seed : {31u, 32u, 33u, 34u}) {
         sim::Dem dem = randomDem(seed, 36, 110, 0.2);
         BpOsdDecoder dec(dem);
+        auto tanner = BpOsdDecoder::buildTanner(dem);
         sim::Rng rng(seed * 17 + 5);
         for (int trial = 0; trial < 30; ++trial) {
             // Random region: a contiguous-ish random subset of columns.
@@ -331,7 +338,7 @@ TEST(OsdPostPass, DifferentialFuzzRandomDems)
                 continue;
             }
             // Random syndrome over the region's detectors (may still be
-            // unexplainable — both backends must agree on that too).
+            // unexplainable — the reference must agree on that too).
             std::vector<uint8_t> inRegion(dem.numDetectors, 0);
             for (uint32_t c : cols) {
                 for (uint32_t d : dem.errors[c].detectors) {
@@ -348,7 +355,8 @@ TEST(OsdPostPass, DifferentialFuzzRandomDems)
             for (double &p : post) {
                 p = rng.uniform() * 10.0 - 5.0;
             }
-            expectBackendsAgree(dec, dem, cols, post, flipped);
+            expectPostPassMatchesReference(dec, dem, *tanner, cols, post,
+                                           flipped);
         }
     }
 }
@@ -361,6 +369,7 @@ TEST(OsdPostPass, TiedPosteriorsPickIdenticalPivotOrders)
     // same pivots. Regression test for the unstable posterior sort.
     sim::Dem dem = randomDem(77, 30, 90, 0.1, /*tied_priors=*/true);
     BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
     sim::Rng rng(123);
     for (int trial = 0; trial < 25; ++trial) {
         std::vector<uint32_t> cols;
@@ -378,7 +387,8 @@ TEST(OsdPostPass, TiedPosteriorsPickIdenticalPivotOrders)
         for (double &p : post) {
             p = (double)rng.below(3) - 1.0;
         }
-        expectBackendsAgree(dec, dem, cols, post, flipped);
+        expectPostPassMatchesReference(dec, dem, *tanner, cols, post,
+                                       flipped);
 
         // The same region presented in a rotated column order must pick
         // the same solution as a set (order-invariance of the
@@ -389,10 +399,9 @@ TEST(OsdPostPass, TiedPosteriorsPickIdenticalPivotOrders)
         rotatedPost.insert(rotatedPost.end(), post.begin(),
                            post.begin() + 7);
         std::vector<uint8_t> uses, rotatedUses;
-        bool ok = dec.osdPostPass(cols, post, flipped, true, uses);
+        bool ok = dec.osdPostPass(cols, post, flipped, uses);
         bool rok =
-            dec.osdPostPass(rotated, rotatedPost, flipped, true,
-                            rotatedUses);
+            dec.osdPostPass(rotated, rotatedPost, flipped, rotatedUses);
         ASSERT_EQ(ok, rok);
         std::vector<uint32_t> usedIds, rotatedIds;
         for (std::size_t i = 0; i < cols.size(); ++i) {
@@ -413,19 +422,20 @@ TEST(OsdPostPass, AllZeroSyndromeAndInfeasibleRegion)
 {
     sim::Dem dem = randomDem(55, 24, 60, 0.2);
     BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
     std::vector<uint32_t> cols{0, 1, 2, 3, 4, 5};
     std::vector<double> post{0.5, 0.5, 0.5, -1.0, 2.0, 0.5}; // ties too
-    std::vector<uint8_t> usesPacked, usesScalar;
+    std::vector<uint8_t> usesPacked, usesRef;
     // All-zero syndrome: explainable by the empty solution.
-    bool p0 = dec.osdPostPass(cols, post, {}, true, usesPacked);
-    bool s0 = dec.osdPostPass(cols, post, {}, false, usesScalar);
-    EXPECT_EQ(p0, s0);
-    EXPECT_EQ(usesPacked, usesScalar);
+    bool p0 = dec.osdPostPass(cols, post, {}, usesPacked);
+    bool r0 = testsupport::referenceOsd0(*tanner, cols, post, {}, usesRef);
+    EXPECT_EQ(p0, r0);
+    EXPECT_EQ(usesPacked, usesRef);
     if (p0) {
         EXPECT_EQ(std::count(usesPacked.begin(), usesPacked.end(), 1), 0);
     }
     // A flipped detector nowhere adjacent to the region: infeasible for
-    // both backends.
+    // the post-pass and the reference alike.
     std::vector<uint8_t> inRegion(dem.numDetectors, 0);
     for (uint32_t c : cols) {
         for (uint32_t d : dem.errors[c].detectors) {
@@ -440,18 +450,57 @@ TEST(OsdPostPass, AllZeroSyndromeAndInfeasibleRegion)
         }
     }
     ASSERT_NE(outside, UINT32_MAX);
+    EXPECT_FALSE(dec.osdPostPass(cols, post, {outside}, usesPacked));
     EXPECT_FALSE(
-        dec.osdPostPass(cols, post, {outside}, true, usesPacked));
-    EXPECT_FALSE(
-        dec.osdPostPass(cols, post, {outside}, false, usesScalar));
-    EXPECT_EQ(usesPacked, usesScalar);
+        testsupport::referenceOsd0(*tanner, cols, post, {outside}, usesRef));
+    EXPECT_EQ(usesPacked, usesRef);
+    EXPECT_EQ(usesPacked, std::vector<uint8_t>(cols.size(), 0));
+}
+
+TEST(OsdPostPass, RankingTailBeyondSortedPrefix)
+{
+    // With the default stagnation window, a region over 512 columns has
+    // only a 512-column prefix of its ranking sorted up front. Ranking
+    // 600 copies of one weight-1 column first leaves a single pivot in
+    // that prefix, so every solve reads into the lazily sorted tail.
+    sim::Dem dem = randomDem(61, 40, 200, 0.1);
+    for (int k = 0; k < 600; ++k) {
+        sim::ErrorMechanism dup;
+        dup.p = 0.01;
+        dup.detectors = {0};
+        dem.errors.push_back(dup);
+    }
+    BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
+    std::vector<uint32_t> cols(dem.errors.size());
+    std::iota(cols.begin(), cols.end(), 0);
+    sim::Rng rng(5);
+    for (int trial = 0; trial < 10; ++trial) {
+        std::vector<double> post(cols.size());
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+            post[i] = i < 200 ? rng.uniform() * 10.0 - 5.0
+                              : -10.0 - rng.uniform();
+        }
+        std::vector<uint32_t> flipped;
+        for (uint32_t d = 1; d < dem.numDetectors; ++d) {
+            if (rng.below(3) == 0) {
+                flipped.push_back(d);
+            }
+        }
+        expectPostPassMatchesReference(dec, dem, *tanner, cols, post,
+                                       flipped);
+    }
 }
 
 TEST(OsdPostPass, DifferentialOnCircuitDems)
 {
-    // lp39 and rqt54 circuit DEMs: full decode with the packed vs scalar
-    // elimination under OSD-forcing settings (tiny iteration budget at
-    // benchmark noise) must be observable-identical on every path.
+    // lp39 and rqt54 circuit DEMs under OSD-forcing settings (tiny
+    // iteration budget at benchmark noise, exact mode): the full decode
+    // paths must equal the reference decoder observable for observable,
+    // and the post-pass on every shot's reference region and BP
+    // posteriors must equal the reference elimination — also with the
+    // default stagnation window, whose lazily sorted ranking prefix
+    // (regions over 512 columns) the full-sort reference pins down.
     struct Cfg
     {
         code::CssCode (*build)();
@@ -463,34 +512,54 @@ TEST(OsdPostPass, DifferentialOnCircuitDems)
                         {code::benchmarkRqt54, 4, 2e-3, 80}};
     for (const Cfg &cfg : cfgs) {
         sim::Dem dem = circuitDem(cfg.build, cfg.rounds, cfg.p);
+        auto tanner = BpOsdDecoder::buildTanner(dem);
         sim::FrameBatch frames =
             sim::sampleDemFrames(dem, cfg.shots, 913);
-        BpOsdOptions packedOpts;
-        packedOpts.maxIterations = 3; // most shots reach OSD
-        BpOsdOptions scalarOpts = packedOpts;
-        scalarOpts.packedOsd = false;
-        BpOsdDecoder packedDec(dem, packedOpts);
-        BpOsdDecoder scalarDec(dem, scalarOpts);
-        std::vector<uint64_t> packedPred(cfg.shots),
-            scalarPred(cfg.shots);
-        PackedDecodeStats packedStats, scalarStats;
-        packedDec.decodePacked(frames.view(), packedPred.data(),
-                               &packedStats);
-        scalarDec.decodePacked(frames.view(), scalarPred.data(),
-                               &scalarStats);
-        EXPECT_EQ(packedPred, scalarPred);
-        EXPECT_EQ(packedStats.osdShots, scalarStats.osdShots);
-        EXPECT_GT(packedStats.osdShots, cfg.shots / 4)
+        BpOsdOptions opts;
+        opts.maxIterations = 3; // most shots reach OSD
+        opts.stagnationWindow = 0;
+        BpOsdDecoder dec(dem, opts);
+        BpOsdOptions windowOpts = opts;
+        windowOpts.stagnationWindow = BpOsdOptions{}.stagnationWindow;
+        BpOsdDecoder windowDec(dem, windowOpts);
+        std::vector<uint64_t> pred(cfg.shots);
+        PackedDecodeStats stats;
+        dec.decodePacked(frames.view(), pred.data(), &stats);
+        EXPECT_GT(stats.osdShots, cfg.shots / 4)
             << "regime not OSD-heavy enough to test anything";
-        // Per-shot decode() must agree with both.
+
         sim::SampleBatch rows;
         sim::transposeFrames(frames, rows);
-        std::vector<uint32_t> scratch;
-        for (std::size_t s = 0; s < std::min<std::size_t>(cfg.shots, 40);
-             ++s) {
-            rows.flippedDetectors(s, scratch);
-            EXPECT_EQ(packedDec.decode(scratch), packedPred[s]);
-            EXPECT_EQ(scalarDec.decode(scratch), packedPred[s]);
+        std::vector<uint32_t> flipped;
+        std::size_t postPasses = 0;
+        for (std::size_t s = 0; s < cfg.shots; ++s) {
+            rows.flippedDetectors(s, flipped);
+            ASSERT_EQ(pred[s],
+                      testsupport::referenceDecode(*tanner, opts, flipped))
+                << "shot " << s;
+            if (s < 40) {
+                EXPECT_EQ(dec.decode(flipped), pred[s]) << "shot " << s;
+            }
+            // The post-pass alone, on the reference's BFS-order region.
+            std::vector<uint32_t> region =
+                testsupport::referenceRegion(*tanner, opts, flipped);
+            std::vector<int> local =
+                testsupport::regionDetectors(*tanner, region).local;
+            bool feasible =
+                !flipped.empty() &&
+                std::all_of(flipped.begin(), flipped.end(),
+                            [&](uint32_t d) { return local[d] >= 0; });
+            std::vector<double> post;
+            std::vector<uint8_t> hard;
+            if (feasible && !testsupport::referenceBp(*tanner, opts, region,
+                                                      flipped, post, hard)) {
+                for (BpOsdDecoder *d : {&dec, &windowDec}) {
+                    expectPostPassMatchesReference(*d, dem, *tanner, region,
+                                                   post, flipped);
+                }
+                ++postPasses;
+            }
         }
+        EXPECT_GT(postPasses, cfg.shots / 4);
     }
 }
