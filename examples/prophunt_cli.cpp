@@ -358,13 +358,19 @@ main(int argc, char **argv)
         argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
     oreq.options.ler.threads = oreq.options.threads;
     oreq.options.seed = 1;
-    api::OptimizeResult res = engine.run(oreq);
+    api::OptimizeResult res;
+    try {
+        res = engine.run(oreq);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
     for (const auto &rec : res.outcome.history) {
         std::printf("iter %2zu: ambiguous=%-3zu candidates=%-4zu "
-                    "verified=%-3zu applied=%-2zu depth=%zu\n",
+                    "models=%-4zu verified=%-3zu applied=%-2zu depth=%zu\n",
                     rec.iteration, rec.ambiguousFound,
-                    rec.candidatesEnumerated, rec.changesVerified,
-                    rec.changesApplied, rec.depth);
+                    rec.candidatesEnumerated, rec.candidateModels,
+                    rec.changesVerified, rec.changesApplied, rec.depth);
     }
 
     bool is_surface = std::strncmp(argv[1], "surface", 7) == 0;

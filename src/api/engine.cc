@@ -434,6 +434,7 @@ Engine::run(const SweepRequest &req)
 OptimizeResult
 Engine::run(const OptimizeRequest &req)
 {
+    validateOptimizeRequest(req);
     OptimizeResult out;
     uint64_t t0 = now_us();
     core::PropHuntOptions opts = req.options;

@@ -913,4 +913,42 @@ validateSweepRequest(const SweepRequest &req)
     }
 }
 
+void
+validateOptimizeRequest(const OptimizeRequest &req)
+{
+    auto reject = [](const std::string &what) {
+        throw std::invalid_argument("OptimizeRequest: " + what);
+    };
+    const core::PropHuntOptions &o = req.options;
+    if (req.rounds == 0) {
+        reject("rounds must be >= 1");
+    }
+    if (!(o.p > 0.0 && o.p < 0.5)) {
+        reject("options.p must lie in (0, 0.5), got " + std::to_string(o.p));
+    }
+    if (o.samplesPerIteration < 2) {
+        reject("options.samplesPerIteration must be >= 2 (each basis "
+               "samples samplesPerIteration / 2 subgraphs), got " +
+               std::to_string(o.samplesPerIteration));
+    }
+    if (o.maxSubgraphErrors == 0) {
+        reject("options.maxSubgraphErrors must be >= 1");
+    }
+    if (o.maxAmbiguousPerIteration == 0) {
+        reject("options.maxAmbiguousPerIteration must be >= 1");
+    }
+    if (!(o.satTimeoutSeconds > 0.0)) {
+        reject("options.satTimeoutSeconds must be > 0, got " +
+               std::to_string(o.satTimeoutSeconds));
+    }
+    if (!req.start.commutationValid()) {
+        reject("start schedule is not commutation-valid (every X/Z "
+               "check pair must cross evenly on its shared qubits)");
+    }
+    if (!req.start.schedulable()) {
+        reject("start schedule is not schedulable (its CNOT precedence "
+               "constraints are cyclic)");
+    }
+}
+
 } // namespace prophunt::api

@@ -258,6 +258,17 @@ SweepCheckpoint mergeSweepCheckpoints(
  */
 void validateSweepRequest(const SweepRequest &req);
 
+/**
+ * OptimizeRequest admission, run before any circuit is built. Throws
+ * std::invalid_argument naming the field for: rounds == 0; options.p
+ * outside (0, 0.5); options.samplesPerIteration < 2 (each basis samples
+ * samplesPerIteration / 2 subgraphs, so a smaller budget would report
+ * convergence without having looked); options.maxSubgraphErrors == 0;
+ * options.maxAmbiguousPerIteration == 0; options.satTimeoutSeconds <= 0;
+ * and a start schedule that is not commutation-valid or not schedulable.
+ */
+void validateOptimizeRequest(const OptimizeRequest &req);
+
 } // namespace prophunt::api
 
 #endif // PROPHUNT_API_SWEEP_CHECKPOINT_H

@@ -173,7 +173,9 @@ PropHunt::optimize(const circuit::SmSchedule &start,
             rec.candidatesEnumerated += plan.candidates.size();
         }
 
-        // Verification (expensive: DEM rebuild per candidate) in parallel.
+        // Verification, one task per (subgraph, candidate) pair. Results
+        // land in per-task slots and are collected in task order, so the
+        // verified lists are identical for every thread count.
         struct VerifyTask
         {
             SubgraphPlan *plan;
@@ -185,24 +187,56 @@ PropHunt::optimize(const circuit::SmSchedule &start,
                 tasks.push_back({&plan, &ch});
             }
         }
-        // Results land in per-task slots and are collected in task order,
-        // so the verified lists are identical for every thread count.
         std::vector<std::optional<VerifiedChange>> taskResults(
             tasks.size());
-        parallelFor(tasks.size(), threads, [&](std::size_t i) {
-            std::optional<VerifiedChange> vc;
-            if (opts_.verifyAmbiguityRemoval) {
-                vc = verifyChange(current, *tasks[i].change,
-                                  tasks[i].plan->sg->detectors,
-                                  tasks[i].plan->mw.errors,
-                                  tasks[i].plan->bw->dem, rounds,
-                                  tasks[i].plan->bw->basis, noise);
-            } else {
+        if (opts_.verifyAmbiguityRemoval) {
+            // A candidate model (validity, circuit, DEM) depends only on
+            // the basis and the change, and subgraphs often propose the
+            // same change. Group tasks by (basis, change key), build each
+            // group's model once in parallel, and run its tasks' cheap
+            // per-subgraph checks against it on the same worker.
+            std::vector<std::vector<std::size_t>> groups;
+            std::map<std::pair<circuit::MemoryBasis, std::string>,
+                     std::size_t>
+                group_of;
+            for (std::size_t i = 0; i < tasks.size(); ++i) {
+                auto [it, fresh] = group_of.try_emplace(
+                    {tasks[i].plan->bw->basis, tasks[i].change->key()},
+                    groups.size());
+                if (fresh) {
+                    groups.emplace_back();
+                }
+                groups[it->second].push_back(i);
+            }
+            std::vector<uint8_t> built(groups.size(), 0);
+            parallelFor(groups.size(), threads, [&](std::size_t g) {
+                const VerifyTask &first = tasks[groups[g].front()];
+                std::optional<CandidateModel> model = buildCandidateModel(
+                    current, *first.change, rounds, first.plan->bw->basis,
+                    noise);
+                if (!model) {
+                    return;
+                }
+                built[g] = 1;
+                for (std::size_t i : groups[g]) {
+                    const SubgraphPlan &plan = *tasks[i].plan;
+                    if (removesAmbiguity(*model, plan.sg->detectors,
+                                         plan.mw.errors, plan.bw->dem)) {
+                        taskResults[i] = VerifiedChange{
+                            *tasks[i].change, model->schedule, model->depth};
+                    }
+                }
+            });
+            rec.candidateModels =
+                (std::size_t)std::count(built.begin(), built.end(), 1);
+        } else {
+            parallelFor(tasks.size(), threads, [&](std::size_t i) {
                 // Ablated pruning: only circuit validity is checked. A
                 // shared transposition cache already knows the verdict
                 // for schedules the search portfolio scored; probe it
                 // (read-only — parallel inserts would make hit counts
                 // timing-dependent) before paying the full check.
+                std::optional<VerifiedChange> vc;
                 circuit::SmSchedule cand = tasks[i].change->apply(current);
                 uint64_t cached = 0;
                 bool have_cached =
@@ -230,9 +264,9 @@ PropHunt::optimize(const circuit::SmSchedule &start,
                         }
                     }
                 }
-            }
-            taskResults[i] = std::move(vc);
-        });
+                taskResults[i] = std::move(vc);
+            });
+        }
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             if (taskResults[i]) {
                 tasks[i].plan->verified.push_back(

@@ -110,6 +110,12 @@ struct IterationRecord
     std::size_t iteration = 0;
     std::size_t ambiguousFound = 0;
     std::size_t candidatesEnumerated = 0;
+    /**
+     * Candidate models (circuit + DEM) built for verification: one per
+     * distinct valid (basis, change) pair, so at most candidatesEnumerated.
+     * Zero when verifyAmbiguityRemoval is off.
+     */
+    std::size_t candidateModels = 0;
     std::size_t changesVerified = 0;
     std::size_t changesApplied = 0;
     std::size_t depth = 0;

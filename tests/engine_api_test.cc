@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -547,6 +548,123 @@ TEST(Engine, SubmitReturnsSameResultAsRun)
     EXPECT_EQ(r1.memory.x.failures, sync.memory.x.failures);
     EXPECT_EQ(r2.memory.z.failures, sync.memory.z.failures);
     EXPECT_EQ(r2.memory.x.failures, sync.memory.x.failures);
+}
+
+// --- OptimizeRequest admission -----------------------------------------------
+
+namespace {
+
+api::OptimizeRequest
+d3Optimize()
+{
+    api::OptimizeRequest req(d3Schedule());
+    req.rounds = 3;
+    req.options.iterations = 1;
+    req.options.samplesPerIteration = 20;
+    return req;
+}
+
+/** Engine::run(req) throws std::invalid_argument naming @p field. */
+void
+expectRejected(const api::OptimizeRequest &req, const std::string &field)
+{
+    api::Engine engine;
+    try {
+        engine.run(req);
+        FAIL() << "expected std::invalid_argument naming " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << "error should name " << field << ": " << e.what();
+    }
+}
+
+} // namespace
+
+TEST(OptimizeAdmission, RejectsZeroRounds)
+{
+    api::OptimizeRequest req = d3Optimize();
+    req.rounds = 0;
+    expectRejected(req, "rounds");
+}
+
+TEST(OptimizeAdmission, RejectsPOutsideOpenInterval)
+{
+    for (double p : {0.0, -1e-3, 0.5, 0.7, std::nan("")}) {
+        api::OptimizeRequest req = d3Optimize();
+        req.options.p = p;
+        expectRejected(req, "options.p");
+    }
+}
+
+TEST(OptimizeAdmission, RejectsFewerThanTwoSamples)
+{
+    // samplesPerIteration / 2 == 0 subgraphs per basis would report
+    // "no ambiguity, converged" without sampling anything.
+    for (std::size_t samples : {0, 1}) {
+        api::OptimizeRequest req = d3Optimize();
+        req.options.samplesPerIteration = samples;
+        expectRejected(req, "options.samplesPerIteration");
+    }
+}
+
+TEST(OptimizeAdmission, RejectsZeroSubgraphBudget)
+{
+    api::OptimizeRequest req = d3Optimize();
+    req.options.maxSubgraphErrors = 0;
+    expectRejected(req, "options.maxSubgraphErrors");
+}
+
+TEST(OptimizeAdmission, RejectsZeroAmbiguousPerIteration)
+{
+    api::OptimizeRequest req = d3Optimize();
+    req.options.maxAmbiguousPerIteration = 0;
+    expectRejected(req, "options.maxAmbiguousPerIteration");
+}
+
+TEST(OptimizeAdmission, RejectsNonPositiveSatTimeout)
+{
+    for (double t : {0.0, -1.0, std::nan("")}) {
+        api::OptimizeRequest req = d3Optimize();
+        req.options.satTimeoutSeconds = t;
+        expectRejected(req, "options.satTimeoutSeconds");
+    }
+}
+
+TEST(OptimizeAdmission, RejectsCommutationInvalidStart)
+{
+    // One relative swap of an X and a Z check on a single shared qubit
+    // makes that pair cross oddly.
+    circuit::SmSchedule nz = d3Schedule();
+    for (std::size_t q = 0; q < nz.code().n(); ++q) {
+        const auto &order = nz.qubitOrder(q);
+        for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+            circuit::SmSchedule bad =
+                nz.withRelativeSwap(q, order[i], order[i + 1]);
+            if (!bad.commutationValid()) {
+                api::OptimizeRequest req = d3Optimize();
+                req.start = bad;
+                expectRejected(req, "commutation-valid");
+                return;
+            }
+        }
+    }
+    FAIL() << "no single swap broke commutation";
+}
+
+TEST(OptimizeAdmission, RejectsUnschedulableStart)
+{
+    // Three Z checks on a triangle of qubits whose check and qubit orders
+    // close a precedence cycle (see circuit_test's CycleDetection).
+    gf2::Matrix hz =
+        gf2::Matrix::fromRows({{1, 1, 0}, {0, 1, 1}, {1, 0, 1}});
+    auto cp = std::make_shared<const code::CssCode>(
+        code::CssCode(gf2::Matrix(0, 3), hz, "triangle"));
+    circuit::SmSchedule cyc(cp, {{0, 1}, {1, 2}, {2, 0}},
+                            {{2, 0}, {0, 1}, {1, 2}});
+    ASSERT_TRUE(cyc.commutationValid());
+    api::OptimizeRequest req = d3Optimize();
+    req.start = cyc;
+    expectRejected(req, "schedulable");
 }
 
 // --- SPRT -------------------------------------------------------------------

@@ -5,7 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
@@ -302,4 +306,170 @@ TEST(Optimizer, ConvergesOnAlreadyGoodSchedule)
     std::size_t deff =
         estimateEffectiveDistance(res.finalSchedule(), 3, 1e-3, 300, 13);
     EXPECT_EQ(deff, 3u);
+}
+
+namespace {
+
+/**
+ * Serial replay of one optimizer iteration from its snapshot: the same
+ * subgraph seeds and RNG stream as PropHunt::optimize, every enumerated
+ * candidate verified on its own through verifyChange. Returns the
+ * (candidates, verified) counts.
+ */
+std::pair<std::size_t, std::size_t>
+replayIteration(const circuit::SmSchedule &current, std::size_t rounds,
+                std::size_t iter, const PropHuntOptions &opts, sim::Rng &rng)
+{
+    const sim::NoiseModel noise = sim::NoiseModel::uniform(opts.p);
+    struct Basis
+    {
+        circuit::MemoryBasis basis;
+        Harness h;
+        std::vector<Subgraph> subgraphs;
+    };
+    std::vector<Basis> work;
+    for (auto basis : {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
+        Basis w{basis, build(current, rounds, opts.p, basis), {}};
+        const uint64_t seed =
+            opts.seed ^ (iter * 2654435761u) ^
+            (basis == circuit::MemoryBasis::X ? 0xabcdu : 0);
+        SubgraphFinder finder(w.h.dem);
+        std::set<std::vector<uint32_t>> seen;
+        for (std::size_t i = 0; i < opts.samplesPerIteration / 2 &&
+                                w.subgraphs.size() <
+                                    opts.maxAmbiguousPerIteration;
+             ++i) {
+            sim::Rng sample_rng(seed ^ ((i + 1) * 0x517cc1b727220a95ULL));
+            Subgraph sg = finder.sample(sample_rng, opts.maxSubgraphErrors);
+            std::vector<uint32_t> key = sg.detectors;
+            std::sort(key.begin(), key.end());
+            if (sg.ambiguous && seen.insert(std::move(key)).second) {
+                w.subgraphs.push_back(std::move(sg));
+            }
+        }
+        work.push_back(std::move(w));
+    }
+    std::size_t candidates = 0, verified = 0;
+    for (const Basis &w : work) {
+        for (const Subgraph &sg : w.subgraphs) {
+            MinWeightResult mw = solveMinWeightLogical(
+                w.h.dem, sg, opts.maxCost, opts.satTimeoutSeconds);
+            if (!mw.found || mw.weight == 0) {
+                continue;
+            }
+            auto changes = enumerateChanges(current, w.h.dem, w.h.circ,
+                                            mw.errors, rng);
+            candidates += changes.size();
+            for (const CircuitChange &ch : changes) {
+                verified += verifyChange(current, ch, sg.detectors,
+                                         mw.errors, w.h.dem, rounds,
+                                         w.basis, noise)
+                                ? 1
+                                : 0;
+            }
+        }
+    }
+    return {candidates, verified};
+}
+
+void
+expectSameHistory(const OptimizeResult &a, const OptimizeResult &b)
+{
+    ASSERT_EQ(a.history.size(), b.history.size());
+    for (std::size_t i = 0; i < a.history.size(); ++i) {
+        const IterationRecord &x = a.history[i], &y = b.history[i];
+        EXPECT_EQ(x.ambiguousFound, y.ambiguousFound) << "iteration " << i;
+        EXPECT_EQ(x.candidatesEnumerated, y.candidatesEnumerated);
+        EXPECT_EQ(x.candidateModels, y.candidateModels);
+        EXPECT_EQ(x.changesVerified, y.changesVerified);
+        EXPECT_EQ(x.changesApplied, y.changesApplied);
+        EXPECT_EQ(x.depth, y.depth);
+        EXPECT_EQ(x.minLogicalWeight, y.minLogicalWeight);
+        EXPECT_EQ(x.solveWeights, y.solveWeights);
+        ASSERT_EQ(x.solveStats.size(), y.solveStats.size());
+        for (std::size_t k = 0; k < x.solveStats.size(); ++k) {
+            EXPECT_EQ(x.solveStats[k].variables, y.solveStats[k].variables);
+            EXPECT_EQ(x.solveStats[k].hardClauses,
+                      y.solveStats[k].hardClauses);
+            EXPECT_EQ(x.solveStats[k].softClauses,
+                      y.solveStats[k].softClauses);
+            EXPECT_EQ(x.solveStats[k].timedOut, y.solveStats[k].timedOut);
+        }
+    }
+    ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
+    for (std::size_t i = 0; i < a.snapshots.size(); ++i) {
+        EXPECT_TRUE(a.snapshots[i] == b.snapshots[i]) << "snapshot " << i;
+    }
+}
+
+PropHuntOptions
+equivalenceOptions(std::size_t threads)
+{
+    PropHuntOptions opts;
+    opts.iterations = 3;
+    opts.samplesPerIteration = 80;
+    opts.maxAmbiguousPerIteration = 4;
+    opts.seed = 7;
+    opts.threads = threads;
+    return opts;
+}
+
+} // namespace
+
+TEST(Optimizer, SharedModelsMatchPerCandidateVerification)
+{
+    // Verification builds one candidate model per distinct (basis,
+    // change) and checks every subgraph against it; the verdict count
+    // must equal verifying each enumerated candidate on its own.
+    for (std::size_t d : {3, 5}) {
+        code::SurfaceCode s(d);
+        const PropHuntOptions opts = equivalenceOptions(4);
+        OptimizeResult res =
+            PropHunt(opts).optimize(circuit::poorSurfaceSchedule(s), d);
+        ASSERT_FALSE(res.history.empty());
+        sim::Rng rng(opts.seed);
+        std::size_t models = 0;
+        for (std::size_t iter = 0; iter < res.history.size(); ++iter) {
+            const IterationRecord &rec = res.history[iter];
+            auto [candidates, verified] = replayIteration(
+                res.snapshots[iter], d, iter, opts, rng);
+            EXPECT_EQ(rec.candidatesEnumerated, candidates)
+                << "d=" << d << " iteration " << iter;
+            EXPECT_EQ(rec.changesVerified, verified)
+                << "d=" << d << " iteration " << iter;
+            EXPECT_LE(rec.candidateModels, rec.candidatesEnumerated);
+            if (rec.changesVerified > 0) {
+                EXPECT_GT(rec.candidateModels, 0u);
+            }
+            models += rec.candidateModels;
+        }
+        EXPECT_GT(models, 0u) << "d=" << d;
+    }
+}
+
+TEST(Optimizer, HistoryAndSnapshotsIndependentOfThreadCount)
+{
+    for (std::size_t d : {3, 5}) {
+        code::SurfaceCode s(d);
+        const circuit::SmSchedule start = circuit::poorSurfaceSchedule(s);
+        OptimizeResult one =
+            PropHunt(equivalenceOptions(1)).optimize(start, d);
+        OptimizeResult four =
+            PropHunt(equivalenceOptions(4)).optimize(start, d);
+        SCOPED_TRACE("d=" + std::to_string(d));
+        expectSameHistory(one, four);
+    }
+}
+
+TEST(Optimizer, AblatedVerificationBuildsNoModels)
+{
+    code::SurfaceCode s(3);
+    PropHuntOptions opts = equivalenceOptions(2);
+    opts.iterations = 1;
+    opts.verifyAmbiguityRemoval = false;
+    OptimizeResult res =
+        PropHunt(opts).optimize(circuit::poorSurfaceSchedule(s), 3);
+    ASSERT_EQ(res.history.size(), 1u);
+    EXPECT_GT(res.history[0].candidatesEnumerated, 0u);
+    EXPECT_EQ(res.history[0].candidateModels, 0u);
 }
