@@ -387,7 +387,14 @@ main(int argc, char **argv)
         req.ler = oreq.options.ler;
         return engine.run(req).ler();
     };
-    double l0 = ler(start), l1 = ler(res.finalSchedule());
+    double l0 = 0.0, l1 = 0.0;
+    try {
+        l0 = ler(start);
+        l1 = ler(res.finalSchedule());
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
     std::printf("LER @ p=%.0e: coloration=%.5f prophunt=%.5f "
                 "(%.2fx)\n",
                 p, l0, l1, l1 > 0 ? l0 / l1 : 0.0);

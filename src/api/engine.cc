@@ -52,6 +52,17 @@ sameSchedule(const circuit::SmSchedule &a, const circuit::SmSchedule &b)
 }
 
 std::string
+circuitKey(const circuit::SmSchedule &schedule, std::size_t rounds,
+           circuit::MemoryBasis basis, std::size_t flag_weight)
+{
+    char key[80];
+    std::snprintf(key, sizeof key, "c%016llx|r%zu|b%d|f%zu",
+                  (unsigned long long)hashSchedule(schedule), rounds,
+                  basis == circuit::MemoryBasis::Z ? 0 : 1, flag_weight);
+    return key;
+}
+
+std::string
 noiseKey(const sim::NoiseModel &noise)
 {
     char buf[96];
@@ -157,14 +168,12 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
                     circuit::MemoryBasis basis,
                     const sim::NoiseModel &noise,
                     const decoder::DecoderSpec &spec,
-                    std::size_t flag_weight, Telemetry &telemetry)
+                    std::size_t flag_weight, Telemetry &telemetry,
+                    std::shared_ptr<const circuit::SmCircuit> circuit)
 {
-    char circuitKey[80];
-    std::snprintf(circuitKey, sizeof circuitKey, "c%016llx|r%zu|b%d|f%zu",
-                  (unsigned long long)hashSchedule(schedule), rounds,
-                  basis == circuit::MemoryBasis::Z ? 0 : 1, flag_weight);
-    std::string demKey = std::string(circuitKey) + "|n" + noiseKey(noise) +
-                         "|d" + spec.describe();
+    const std::string cKey = circuitKey(schedule, rounds, basis, flag_weight);
+    std::string demKey = cKey + "|n" + noiseKey(noise) + "|d" +
+                         spec.describe();
 
     if (opts_.cacheEnabled) {
         std::lock_guard<std::mutex> lock(cacheMutex_);
@@ -179,8 +188,10 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
         }
     }
 
-    auto circuit = circuitFor(circuitKey, schedule, rounds, basis,
-                              flag_weight, telemetry);
+    if (!circuit) {
+        circuit =
+            circuitFor(cKey, schedule, rounds, basis, flag_weight, telemetry);
+    }
     uint64_t t0 = now_us();
     sim::Dem dem = sim::buildDem(*circuit, noise);
     auto prototype = decoder::Registry::make(spec, dem, *circuit);
@@ -239,6 +250,7 @@ Engine::serviceMeasure(const Artifact &art, std::size_t shots, uint64_t seed,
 LerResult
 Engine::run(const LerRequest &req)
 {
+    validateLerRequest(req);
     LerResult out;
     if (req.shots == 0) {
         // A zero-shot request has a well-formed empty answer; skip the
@@ -259,13 +271,12 @@ Engine::run(const LerRequest &req)
 }
 
 void
-Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
-                        std::size_t pi, SweepPointCheckpoint &pointCp,
-                        Telemetry &telemetry,
-                        decoder::PackedDecodeStats &zPacked,
-                        decoder::PackedDecodeStats &xPacked,
-                        const std::function<void()> &cellCommitted,
-                        bool &interrupted)
+Engine::sweepPointCells(
+    const SweepRequest &req, const SweepGrid &grid, std::size_t pi,
+    const SweepPointCheckpoint &pointCp, const SweepCircuits &circuits,
+    SweepPointWork &work,
+    const std::function<void(std::size_t, std::size_t,
+                             const SweepChunkTally &)> &commit)
 {
     const std::size_t n_chunks = grid.chunksPerPoint();
     if (n_chunks == 0) {
@@ -274,7 +285,7 @@ Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
     sim::NoiseModel noise =
         sim::NoiseModel::withIdle(req.ps[pi], req.pIdle);
     // Artifacts are built lazily: a fully checkpointed point resumes
-    // without touching the cache at all.
+    // without touching the DEM cache at all.
     Artifact artZ, artX;
     bool have_artifacts = false;
 
@@ -299,16 +310,16 @@ Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
             continue;
         }
         if (req.cancel != nullptr && req.cancel->load()) {
-            interrupted = true;
+            work.interrupted = true;
             break;
         }
         if (!have_artifacts) {
             artZ = artifactFor(req.schedule, req.rounds,
                                circuit::MemoryBasis::Z, noise, req.decoder,
-                               req.flagWeight, telemetry);
+                               req.flagWeight, work.telemetry, circuits[0]);
             artX = artifactFor(req.schedule, req.rounds,
                                circuit::MemoryBasis::X, noise, req.decoder,
-                               req.flagWeight, telemetry);
+                               req.flagWeight, work.telemetry, circuits[1]);
             have_artifacts = true;
         }
         const std::size_t chunk_shots = grid.chunkSize(c);
@@ -320,17 +331,17 @@ Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
             decoder::LerResult r = serviceMeasure(
                 art, chunk_shots,
                 decoder::memoryBasisSeed(chunk_seed, basis), req.ler,
-                req.cancel, telemetry);
+                req.cancel, work.telemetry);
             if (basis == circuit::MemoryBasis::Z) {
                 tally.zShots = r.shots;
                 tally.zFailures = r.failures;
                 tally.zEarlyStopped = r.earlyStopped;
-                zPacked += r.packed;
+                work.zPacked += r.packed;
             } else {
                 tally.xShots = r.shots;
                 tally.xFailures = r.failures;
                 tally.xEarlyStopped = r.earlyStopped;
-                xPacked += r.packed;
+                work.xPacked += r.packed;
             }
         }
         if (req.cancel != nullptr && req.cancel->load()) {
@@ -339,12 +350,11 @@ Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
             // the canonical chunk. Discard it — results and checkpoints
             // carry only full canonical cells, so a resume recomputes
             // this chunk and stays bit-identical.
-            interrupted = true;
+            work.interrupted = true;
             break;
         }
         tally.done = true;
-        pointCp.chunks[c] = tally;
-        cellCommitted();
+        commit(pi, c, tally);
     }
 }
 
@@ -382,10 +392,18 @@ Engine::run(const SweepRequest &req)
         }
     }
 
+    // Cell commits, the save counter and the save itself share one
+    // lock, so a save never reads a point another participant is
+    // writing. A point's own participant reads its cells unlocked: it is
+    // their only writer.
+    std::mutex cp_mutex;
     const std::size_t save_every =
         std::max<std::size_t>(1, req.checkpointEveryChunks);
     std::size_t since_save = 0;
-    auto cell_committed = [&]() {
+    auto commit = [&](std::size_t pi, std::size_t c,
+                      const SweepChunkTally &tally) {
+        std::lock_guard<std::mutex> lock(cp_mutex);
+        cp.points[pi].chunks[c] = tally;
         if (persist && ++since_save >= save_every) {
             cp.saveAtomic(req.checkpointPath);
             since_save = 0;
@@ -393,34 +411,64 @@ Engine::run(const SweepRequest &req)
     };
 
     SweepResult out;
-    out.points.reserve(req.ps.size());
-    bool interrupted = false;
-    for (std::size_t pi = 0; pi < req.ps.size(); ++pi) {
-        if (req.cancel != nullptr && req.cancel->load()) {
-            interrupted = true;
+    // The circuit cache key carries no p, so concurrent points would
+    // race to build the same circuit and make the cache counters depend
+    // on timing: resolve each basis's circuit once, before the fan-out.
+    // Its cost is the sweep's, not any point's.
+    SweepCircuits circuits;
+    if (grid.chunksPerPoint() > 0 &&
+        !(req.cancel != nullptr && req.cancel->load())) {
+        const circuit::MemoryBasis bases[2] = {circuit::MemoryBasis::Z,
+                                               circuit::MemoryBasis::X};
+        for (std::size_t b = 0; b < 2; ++b) {
+            circuits[b] = circuitFor(
+                circuitKey(req.schedule, req.rounds, bases[b],
+                           req.flagWeight),
+                req.schedule, req.rounds, bases[b], req.flagWeight,
+                out.telemetry);
         }
-        if (interrupted) {
-            break;
+    }
+
+    // Points are claimed in ascending order; each participant runs one
+    // point's serial chunk loop at a time. A cancel stops new claims.
+    const std::size_t n_points = req.ps.size();
+    std::vector<SweepPointWork> work(n_points);
+    sim::WorkerPool::shared().run(
+        n_points, std::min(n_points, sim::resolveThreads(req.ler.threads)),
+        [&](std::size_t pi, std::size_t) {
+            work[pi].started = true;
+            sweepPointCells(req, grid, pi, cp.points[pi], circuits,
+                            work[pi], commit);
+        },
+        req.cancel);
+
+    // Merge in point order. Telemetry reports this run's work
+    // (build/decode time, cache traffic, freshly sampled shots) of every
+    // point, kept or dropped; the memory tallies always account the full
+    // canonical prefix, checkpointed or fresh. The result ends at the
+    // first incomplete point — unclaimed, or cancelled mid-point, which
+    // then contributes its contiguous done-chunk prefix if it has one —
+    // as the serial loop did. Later points' finished cells stay in the
+    // checkpoint.
+    out.points.reserve(n_points);
+    bool truncated = false;
+    for (std::size_t pi = 0; pi < n_points; ++pi) {
+        out.telemetry += work[pi].telemetry;
+        if (truncated || !work[pi].started) {
+            truncated = true;
+            continue;
         }
-        Telemetry new_work;
-        decoder::PackedDecodeStats z_packed, x_packed;
-        sweepPointCells(req, grid, pi, cp.points[pi], new_work, z_packed,
-                        x_packed, cell_committed, interrupted);
         SweepPointResult pt = finalizePoint(cp, pi);
-        // Telemetry reports this run's work (build/decode time, cache
-        // traffic, freshly sampled shots); the memory tallies always
-        // account the full canonical prefix, checkpointed or fresh.
-        pt.telemetry = new_work;
-        pt.memory.z.packed = z_packed;
-        pt.memory.x.packed = x_packed;
-        // A cancelled in-progress point contributes its contiguous
-        // done-chunk prefix; an untouched one is omitted entirely.
-        if (interrupted && pt.memory.z.shots + pt.memory.x.shots == 0) {
-            out.telemetry += new_work;
-            break;
+        pt.telemetry = work[pi].telemetry;
+        pt.memory.z.packed = work[pi].zPacked;
+        pt.memory.x.packed = work[pi].xPacked;
+        if (work[pi].interrupted) {
+            truncated = true;
+            if (pt.memory.z.shots + pt.memory.x.shots == 0) {
+                continue;
+            }
         }
         out.points.push_back(pt);
-        out.telemetry += pt.telemetry;
     }
     if (persist) {
         // Always leave a final checkpoint on disk — even a no-progress

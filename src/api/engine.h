@@ -30,13 +30,16 @@
  *    with checkpointPath set the completed cells persist atomically and
  *    a rerun resumes bit-identically to an uninterrupted run, and with
  *    shard.count > 1 the process serves only its slice of cells, to be
- *    merged by mergeSweepCheckpoints + finalizeSweep.
+ *    merged by mergeSweepCheckpoints + finalizeSweep. A sweep's points
+ *    run concurrently on the shared worker pool (bounded by
+ *    ler.threads); each point's chunk loop stays serial.
  *
  * Thread safety: all public methods may be called concurrently.
  */
 #ifndef PROPHUNT_API_ENGINE_H
 #define PROPHUNT_API_ENGINE_H
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -86,10 +89,22 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     /** Measure one schedule's combined memory-Z/X LER. Bit-identical to
-     * decoder::measureMemoryLer at the same request parameters. */
+     * decoder::measureMemoryLer at the same request parameters. Throws
+     * std::invalid_argument at admission (validateLerRequest). */
     LerResult run(const LerRequest &req);
 
-    /** Run a physical-error-rate sweep (adaptive if req.sprt.enabled). */
+    /**
+     * Run a physical-error-rate sweep (adaptive if req.sprt.enabled).
+     *
+     * Points run concurrently on sim::WorkerPool::shared(), at most
+     * min(points, ler.threads) at once (0 = hardware concurrency); each
+     * point keeps its serial chunk loop, so the result is bit-identical
+     * at every thread count. Checkpoint writes are serialized. After a
+     * cancel the result keeps the serial shape: every point before the
+     * first incomplete one, then that point's contiguous done-chunk
+     * prefix if it has one. Telemetry::buildUs and decodeUs sum the work
+     * of concurrent points, so they can exceed the wall time.
+     */
     SweepResult run(const SweepRequest &req);
 
     /** Run the PropHunt optimizer. */
@@ -155,28 +170,45 @@ class Engine
                std::size_t rounds, circuit::MemoryBasis basis,
                std::size_t flag_weight, Telemetry &telemetry);
 
+    /** @p circuit, when non-null, is the already compiled circuit of
+     * (schedule, rounds, basis, flag_weight); null looks it up. */
     Artifact artifactFor(const circuit::SmSchedule &schedule,
                          std::size_t rounds, circuit::MemoryBasis basis,
                          const sim::NoiseModel &noise,
                          const decoder::DecoderSpec &spec,
-                         std::size_t flag_weight, Telemetry &telemetry);
+                         std::size_t flag_weight, Telemetry &telemetry,
+                         std::shared_ptr<const circuit::SmCircuit> circuit =
+                             nullptr);
+
+    /** A sweep's compiled circuits: [0] memory-Z, [1] memory-X. */
+    using SweepCircuits =
+        std::array<std::shared_ptr<const circuit::SmCircuit>, 2>;
+
+    /** What one sweep point did in this run. */
+    struct SweepPointWork
+    {
+        Telemetry telemetry;
+        /** Packed-decode stats of the freshly computed cells. */
+        decoder::PackedDecodeStats zPacked, xPacked;
+        /** A participant claimed the point (cancel can stop claims). */
+        bool started = false;
+        /** req.cancel stopped the point before its owned cells
+         * finished. */
+        bool interrupted = false;
+    };
 
     /**
      * Compute every owned, still-pending cell of sweep point @p pi in
-     * canonical chunk order, recording completed tallies into
-     * @p pointCp. @p cellCommitted fires after each newly completed
-     * cell (the checkpoint-write hook); @p interrupted is set when
-     * req.cancel stopped the point before its owned cells finished.
-     * Packed-decode stats of the freshly computed cells accumulate into
-     * @p zPacked / @p xPacked.
+     * canonical chunk order. @p pointCp is only read here; each newly
+     * completed cell is handed to @p commit (point, chunk, tally), which
+     * records it and writes checkpoints.
      */
-    void sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
-                         std::size_t pi, SweepPointCheckpoint &pointCp,
-                         Telemetry &telemetry,
-                         decoder::PackedDecodeStats &zPacked,
-                         decoder::PackedDecodeStats &xPacked,
-                         const std::function<void()> &cellCommitted,
-                         bool &interrupted);
+    void sweepPointCells(
+        const SweepRequest &req, const SweepGrid &grid, std::size_t pi,
+        const SweepPointCheckpoint &pointCp, const SweepCircuits &circuits,
+        SweepPointWork &work,
+        const std::function<void(std::size_t, std::size_t,
+                                 const SweepChunkTally &)> &commit);
 
     /** Run one basis measurement through the decode service and fold the
      * outcome's telemetry into @p telemetry. */

@@ -143,6 +143,13 @@ struct SweepShard
  * the same request resumes bit-identically to an uninterrupted run;
  * with shard.count > 1 this process computes only its slice of cells
  * and the per-shard checkpoints merge into the serial result.
+ *
+ * Points run concurrently on the shared worker pool, at most
+ * min(ps.size(), ler.threads) at once (0 = hardware concurrency); inside
+ * a point the chunk loop and the Z-then-X order stay serial, so every
+ * result is bit-identical at any thread count. Checkpoint writes are
+ * serialized. Per-point and per-sweep Telemetry::buildUs / decodeUs sum
+ * the work of concurrent points and can therefore exceed wall time.
  */
 struct SweepRequest
 {
@@ -173,10 +180,12 @@ struct SweepRequest
      * Optional cancellation flag (parity with LerRequest::cancel).
      * Honored between points and between SPRT chunks, and passed into
      * the decode service so an in-flight measurement truncates to a
-     * valid contiguous shard prefix. The result holds every completed
-     * point plus the in-progress point's contiguous chunk prefix (a
-     * mid-chunk truncation is discarded — only canonical full-chunk
-     * tallies enter results and checkpoints).
+     * valid contiguous shard prefix. The result holds every point before
+     * the first incomplete one plus that point's contiguous chunk prefix
+     * (a mid-chunk truncation is discarded — only canonical full-chunk
+     * tallies enter results and checkpoints). Later points that ran
+     * concurrently are dropped from the result; their finished cells
+     * stay in the checkpoint.
      */
     const std::atomic<bool> *cancel = nullptr;
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,7 @@
 
 #include "api/engine.h"
 #include "api/sprt.h"
+#include "decoder/registry.h"
 #include "sim/parallel_sampler.h"
 
 #ifndef _WIN32
@@ -884,9 +886,64 @@ mergeSweepCheckpoints(const std::vector<SweepCheckpoint> &shards)
 
 // --- admission validation ---------------------------------------------------
 
+namespace {
+
+/** The admission checks LerRequest and SweepRequest share; @p request
+ * prefixes every message. */
+void
+checkRounds(const char *request, std::size_t rounds)
+{
+    if (rounds == 0) {
+        throw std::invalid_argument(std::string(request) +
+                                    ": rounds must be >= 1");
+    }
+}
+
+void
+checkRate(const char *request, const std::string &field, double value)
+{
+    if (!(std::isfinite(value) && value >= 0.0 && value < 0.5)) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%g", value);
+        throw std::invalid_argument(std::string(request) + ": " + field +
+                                    " must be finite and lie in "
+                                    "[0, 0.5), got " +
+                                    buf);
+    }
+}
+
+void
+checkDecoder(const char *request, const decoder::DecoderSpec &spec)
+{
+    if (!decoder::Registry::instance().has(spec.name)) {
+        throw std::invalid_argument(std::string(request) +
+                                    ": decoder.name '" + spec.name +
+                                    "' is not a registered decoder");
+    }
+}
+
+} // namespace
+
+void
+validateLerRequest(const LerRequest &req)
+{
+    checkRounds("LerRequest", req.rounds);
+    checkRate("LerRequest", "noise.p1", req.noise.p1);
+    checkRate("LerRequest", "noise.p2", req.noise.p2);
+    checkRate("LerRequest", "noise.pIdle", req.noise.pIdle);
+    checkDecoder("LerRequest", req.decoder);
+}
+
 void
 validateSweepRequest(const SweepRequest &req)
 {
+    checkRounds("SweepRequest", req.rounds);
+    for (std::size_t i = 0; i < req.ps.size(); ++i) {
+        checkRate("SweepRequest", "ps[" + std::to_string(i) + "]",
+                  req.ps[i]);
+    }
+    checkRate("SweepRequest", "pIdle", req.pIdle);
+    checkDecoder("SweepRequest", req.decoder);
     if (req.sprt.enabled) {
         try {
             SprtOptions effective = req.sprt;

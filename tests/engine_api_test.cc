@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -536,6 +537,160 @@ TEST(Engine, SweepCancelWithSprtKeepsContiguousChunkPrefix)
     }
 }
 
+namespace {
+
+/** A bp_osd SPRT sweep with several chunks per point, so concurrent
+ * points overlap and every packed counter moves. */
+api::SweepRequest
+fanOutSweep(std::size_t threads)
+{
+    api::SweepRequest sweep(d3Schedule());
+    sweep.rounds = 3;
+    sweep.ps = {1e-3, 4e-3, 8e-3, 1.6e-2};
+    sweep.decoder = "bp_osd";
+    sweep.shotsPerPoint = 2048;
+    sweep.seed = 41;
+    sweep.ler.threads = threads;
+    sweep.ler.shardShots = 128;
+    sweep.sprt.enabled = true;
+    sweep.sprt.decisionLer = 0.02;
+    sweep.sprt.chunkShots = 256;
+    return sweep;
+}
+
+void
+expectSamePacked(const decoder::PackedDecodeStats &a,
+                 const decoder::PackedDecodeStats &b)
+{
+    // osdUs is a timing, not a count.
+    EXPECT_EQ(a.packedShots, b.packedShots);
+    EXPECT_EQ(a.adapterShots, b.adapterShots);
+    EXPECT_EQ(a.laneSlotsBusy, b.laneSlotsBusy);
+    EXPECT_EQ(a.laneSlotsTotal, b.laneSlotsTotal);
+    EXPECT_EQ(a.osdShots, b.osdShots);
+}
+
+void
+expectSameBasis(const decoder::LerResult &a, const decoder::LerResult &b)
+{
+    EXPECT_EQ(a.shots, b.shots);
+    EXPECT_EQ(a.failures, b.failures);
+    EXPECT_EQ(a.earlyStopped, b.earlyStopped);
+    expectSamePacked(a.packed, b.packed);
+}
+
+/** A unique per-test path under the test temp dir, removed on exit. */
+struct TempPath
+{
+    std::string path;
+    explicit TempPath(const std::string &name)
+        : path(::testing::TempDir() + "engine_api_test_" + name + ".json")
+    {
+        std::remove(path.c_str());
+    }
+    ~TempPath()
+    {
+        std::remove(path.c_str());
+        std::remove((path + ".tmp").c_str());
+    }
+};
+
+} // namespace
+
+TEST(Engine, SweepPointFanOutBitIdenticalAcrossThreadCounts)
+{
+    // Fresh engines: every run builds its artifacts and decodes every
+    // shot, so the cache counters and packed stats compare like for like.
+    const api::SweepResult one = api::Engine().run(fanOutSweep(1));
+    ASSERT_EQ(one.points.size(), 4u);
+    EXPECT_GT(one.points[0].memory.z.packed.laneSlotsTotal, 0u);
+    for (std::size_t threads : {2u, 4u}) {
+        SCOPED_TRACE("ler.threads=" + std::to_string(threads));
+        const api::SweepResult many = api::Engine().run(fanOutSweep(threads));
+        ASSERT_EQ(many.points.size(), one.points.size());
+        for (std::size_t i = 0; i < one.points.size(); ++i) {
+            SCOPED_TRACE("point " + std::to_string(i));
+            const api::SweepPointResult &a = one.points[i];
+            const api::SweepPointResult &b = many.points[i];
+            EXPECT_EQ(b.p, a.p);
+            expectSameBasis(b.memory.z, a.memory.z);
+            expectSameBasis(b.memory.x, a.memory.x);
+            EXPECT_EQ(b.decision, a.decision);
+            EXPECT_EQ(b.telemetry.shots, a.telemetry.shots);
+            EXPECT_EQ(b.telemetry.cacheHits, a.telemetry.cacheHits);
+            EXPECT_EQ(b.telemetry.cacheMisses, a.telemetry.cacheMisses);
+        }
+        EXPECT_EQ(many.telemetry.shots, one.telemetry.shots);
+        EXPECT_EQ(many.telemetry.cacheHits, one.telemetry.cacheHits);
+        EXPECT_EQ(many.telemetry.cacheMisses, one.telemetry.cacheMisses);
+    }
+}
+
+TEST(Engine, SweepCancelMidRunAtDefaultThreadsReturnsPointPrefix)
+{
+    // Points near the 0.02 decision threshold, under a tight margin,
+    // need many chunks, so a cancel lands while several points run.
+    api::SweepRequest sweep(d3Schedule());
+    sweep.rounds = 3;
+    sweep.ps = {4e-3, 4.5e-3, 5e-3, 5.5e-3};
+    sweep.decoder = "union_find";
+    sweep.shotsPerPoint = 8000;
+    sweep.seed = 5;
+    sweep.sprt.enabled = true;
+    sweep.sprt.decisionLer = 0.02;
+    sweep.sprt.margin = 1.2;
+    sweep.sprt.chunkShots = 250;
+    sweep.checkpointEveryChunks = 1;
+
+    TempPath oracle_path("cancel_oracle");
+    sweep.checkpointPath = oracle_path.path;
+    const api::SweepResult oracle = api::Engine().run(sweep);
+    const api::SweepCheckpoint oracle_cp =
+        api::SweepCheckpoint::load(oracle_path.path);
+
+    TempPath cut_path("cancel_cut");
+    sweep.checkpointPath = cut_path.path;
+    std::atomic<bool> cancel{false};
+    sweep.cancel = &cancel;
+    std::thread flipper([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        cancel.store(true);
+    });
+    const api::SweepResult truncated = api::Engine().run(sweep);
+    flipper.join();
+    const api::SweepCheckpoint cut_cp =
+        api::SweepCheckpoint::load(cut_path.path);
+
+    // Every finished cell, kept in the result or not, is the oracle's.
+    for (std::size_t i = 0; i < cut_cp.points.size(); ++i) {
+        for (std::size_t c = 0; c < cut_cp.points[i].chunks.size(); ++c) {
+            if (cut_cp.points[i].chunks[c].done) {
+                EXPECT_TRUE(cut_cp.points[i].chunks[c] ==
+                            oracle_cp.points[i].chunks[c])
+                    << "point " << i << " chunk " << c;
+            }
+        }
+    }
+    // The result is a point prefix: complete points equal to the
+    // oracle's, then at most one point cut to its done-chunk prefix.
+    ASSERT_LE(truncated.points.size(), oracle.points.size());
+    for (std::size_t i = 0; i < truncated.points.size(); ++i) {
+        SCOPED_TRACE("point " + std::to_string(i));
+        const api::SweepPointResult &got = truncated.points[i];
+        const api::SweepPointResult want = i + 1 < truncated.points.size()
+                                               ? oracle.points[i]
+                                               : api::finalizePoint(cut_cp, i);
+        EXPECT_EQ(got.p, oracle.points[i].p);
+        EXPECT_EQ(got.memory.z.shots, want.memory.z.shots);
+        EXPECT_EQ(got.memory.z.failures, want.memory.z.failures);
+        EXPECT_EQ(got.memory.x.shots, want.memory.x.shots);
+        EXPECT_EQ(got.memory.x.failures, want.memory.x.failures);
+        EXPECT_EQ(got.decision, want.decision);
+        EXPECT_GT(got.memory.z.shots, 0u);
+        EXPECT_LE(got.memory.z.shots, oracle.points[i].memory.z.shots);
+    }
+}
+
 TEST(Engine, SubmitReturnsSameResultAsRun)
 {
     api::Engine engine;
@@ -565,8 +720,9 @@ d3Optimize()
 }
 
 /** Engine::run(req) throws std::invalid_argument naming @p field. */
+template <class Request>
 void
-expectRejected(const api::OptimizeRequest &req, const std::string &field)
+expectRejected(const Request &req, const std::string &field)
 {
     api::Engine engine;
     try {
@@ -665,6 +821,105 @@ TEST(OptimizeAdmission, RejectsUnschedulableStart)
     api::OptimizeRequest req = d3Optimize();
     req.start = cyc;
     expectRejected(req, "schedulable");
+}
+
+namespace {
+
+api::SweepRequest
+d3Sweep()
+{
+    api::SweepRequest sweep(d3Schedule());
+    sweep.rounds = 3;
+    sweep.ps = {1e-3, 3e-3};
+    sweep.decoder = "union_find";
+    sweep.shotsPerPoint = 200;
+    sweep.ler.threads = 1;
+    return sweep;
+}
+
+const double kBadRates[] = {-0.1, 0.5, 0.9, std::nan(""), INFINITY};
+
+} // namespace
+
+TEST(LerAdmission, RejectsZeroRounds)
+{
+    api::LerRequest req = d3Request(1);
+    req.rounds = 0;
+    expectRejected(req, "rounds");
+}
+
+TEST(LerAdmission, RejectsBadP1)
+{
+    for (double p : kBadRates) {
+        api::LerRequest req = d3Request(1);
+        req.noise.p1 = p;
+        expectRejected(req, "noise.p1");
+    }
+}
+
+TEST(LerAdmission, RejectsBadP2)
+{
+    for (double p : kBadRates) {
+        api::LerRequest req = d3Request(1);
+        req.noise.p2 = p;
+        expectRejected(req, "noise.p2");
+    }
+}
+
+TEST(LerAdmission, RejectsBadPIdle)
+{
+    for (double p : kBadRates) {
+        api::LerRequest req = d3Request(1);
+        req.noise.pIdle = p;
+        expectRejected(req, "noise.pIdle");
+    }
+}
+
+TEST(LerAdmission, RejectsUnregisteredDecoder)
+{
+    api::LerRequest req = d3Request(1);
+    req.decoder = "no_such_decoder";
+    expectRejected(req, "decoder.name");
+}
+
+TEST(LerAdmission, AcceptsZeroRates)
+{
+    api::LerRequest req = d3Request(1);
+    req.noise = sim::NoiseModel{};
+    req.shots = 64;
+    EXPECT_EQ(api::Engine().run(req).ler(), 0.0);
+}
+
+TEST(SweepAdmission, RejectsZeroRounds)
+{
+    api::SweepRequest sweep = d3Sweep();
+    sweep.rounds = 0;
+    expectRejected(sweep, "rounds");
+}
+
+TEST(SweepAdmission, RejectsBadPsEntry)
+{
+    for (double p : kBadRates) {
+        api::SweepRequest sweep = d3Sweep();
+        sweep.ps[1] = p;
+        expectRejected(sweep, "ps[1]");
+    }
+}
+
+TEST(SweepAdmission, RejectsBadPIdle)
+{
+    for (double p : kBadRates) {
+        api::SweepRequest sweep = d3Sweep();
+        sweep.pIdle = p;
+        expectRejected(sweep, "pIdle");
+    }
+}
+
+TEST(SweepAdmission, RejectsUnregisteredDecoder)
+{
+    api::SweepRequest sweep = d3Sweep();
+    sweep.decoder = "no_such_decoder";
+    expectRejected(sweep, "decoder.name");
 }
 
 // --- SPRT -------------------------------------------------------------------

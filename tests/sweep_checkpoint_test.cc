@@ -385,37 +385,46 @@ TEST(SweepValidation, AcceptsGoodRequests)
 
 TEST(SweepResume, EveryInterruptionOffsetResumesBitIdentically)
 {
-    api::SweepRequest req = sprtRequest();
-    api::Engine engine;
-    api::SweepResult oracle = engine.run(req);
+    const api::SweepResult oracle = api::Engine().run(sprtRequest());
 
-    // A completed checkpointed run gives the full cell tallies...
-    ScratchFile full_file("resume_full");
-    api::SweepRequest ck_req = req;
-    ck_req.checkpointPath = full_file.path;
-    ck_req.checkpointEveryChunks = 1;
-    expectEqualResults(engine.run(ck_req), oracle);
-    api::SweepCheckpoint full = api::SweepCheckpoint::load(full_file.path);
+    // One point at a time, then points fanned out over the pool.
+    for (std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("ler.threads=" + std::to_string(threads));
+        api::SweepRequest req = sprtRequest();
+        req.ler.threads = threads;
+        api::Engine engine;
 
-    // ...from which we can reconstruct the checkpoint a SIGKILL would
-    // have left after any number of completed cells, and resume it.
-    api::SweepGrid grid = api::sweepGridFor(req);
-    for (std::size_t cut = 0; cut <= grid.totalCells(); ++cut) {
-        ScratchFile f("resume_cut");
-        api::SweepCheckpoint partial = api::makeSweepCheckpoint(req);
-        for (std::size_t p = 0; p < grid.numPoints; ++p) {
-            for (std::size_t c = 0; c < grid.chunksPerPoint(); ++c) {
-                if (grid.cellIndex(p, c) < cut) {
-                    partial.points[p].chunks[c] = full.points[p].chunks[c];
+        // A completed checkpointed run gives the full cell tallies...
+        ScratchFile full_file("resume_full");
+        api::SweepRequest ck_req = req;
+        ck_req.checkpointPath = full_file.path;
+        ck_req.checkpointEveryChunks = 1;
+        expectEqualResults(engine.run(ck_req), oracle);
+        api::SweepCheckpoint full =
+            api::SweepCheckpoint::load(full_file.path);
+
+        // ...from which we can reconstruct the checkpoint a SIGKILL
+        // would have left after any number of completed cells, and
+        // resume it.
+        api::SweepGrid grid = api::sweepGridFor(req);
+        for (std::size_t cut = 0; cut <= grid.totalCells(); ++cut) {
+            ScratchFile f("resume_cut");
+            api::SweepCheckpoint partial = api::makeSweepCheckpoint(req);
+            for (std::size_t p = 0; p < grid.numPoints; ++p) {
+                for (std::size_t c = 0; c < grid.chunksPerPoint(); ++c) {
+                    if (grid.cellIndex(p, c) < cut) {
+                        partial.points[p].chunks[c] =
+                            full.points[p].chunks[c];
+                    }
                 }
             }
+            partial.saveAtomic(f.path);
+            api::SweepRequest resume = req;
+            resume.checkpointPath = f.path;
+            api::SweepResult resumed = engine.run(resume);
+            SCOPED_TRACE("resumed after " + std::to_string(cut) + " cells");
+            expectEqualResults(resumed, oracle);
         }
-        partial.saveAtomic(f.path);
-        api::SweepRequest resume = req;
-        resume.checkpointPath = f.path;
-        api::SweepResult resumed = engine.run(resume);
-        SCOPED_TRACE("resumed after " + std::to_string(cut) + " cells");
-        expectEqualResults(resumed, oracle);
     }
 }
 
