@@ -1,7 +1,7 @@
 /**
  * @file
- * Engine sweep smoke: the fig06 good-vs-poor d=3 sweep through
- * api::Engine::sweep, fixed-budget vs SPRT-adaptive.
+ * Engine sweep smoke: the fig06 good-vs-poor d=3 sweep as an
+ * api::SweepRequest, fixed-budget vs SPRT-adaptive.
  *
  * Runs the reduced Figure 6 sweep twice per schedule — once with the
  * fixed per-point shot budget and once with SPRT early stopping — and
@@ -10,7 +10,8 @@
  *   - the two runs reach identical above/below decisions at the 2%
  *     decision threshold on every point, and
  *   - the adaptive run uses strictly fewer total shots, and
- *   - a cache-disabled engine reproduces the cached sweep bit for bit.
+ *   - a fresh engine (cold artifact cache, no recorded tallies)
+ *     reproduces the warm shared engine's sweep bit for bit.
  *
  * Writes a JSON artifact to $PROPHUNT_BENCH_OUT (default
  * BENCH_api_sweep.json) recording per-point decisions/shots and the
@@ -58,9 +59,9 @@ runPair(const char *label, const circuit::SmSchedule &sched,
     pair.label = label;
     api::SweepRequest req = baseRequest(sched, shots_per_point);
     req.sprt.enabled = false;
-    pair.fixed = phbench::engine().sweep(req);
+    pair.fixed = phbench::engine().run(req);
     req.sprt.enabled = true;
-    pair.adaptive = phbench::engine().sweep(req);
+    pair.adaptive = phbench::engine().run(req);
     return pair;
 }
 
@@ -106,27 +107,32 @@ main()
                 100.0 * (1.0 - (double)adaptiveShots / (double)fixedShots),
                 cacheStats.hits, cacheStats.misses);
 
-    // Cache contract: a cache-disabled engine reproduces the cached
-    // fixed-budget sweep bit for bit.
+    // Cache contract: the warm shared engine (every artifact cached,
+    // shard tallies recorded) and a fresh engine (everything rebuilt and
+    // decoded again) both reproduce the first fixed-budget sweep bit
+    // for bit.
     bool cacheIdentical = true;
     {
-        api::EngineOptions opts;
-        opts.cacheEnabled = false;
-        api::Engine cold(opts);
         api::SweepRequest req =
             baseRequest(circuit::nzSchedule(s), shots_per_point);
         req.sprt.enabled = false;
-        api::SweepResult uncached = cold.sweep(req);
-        for (std::size_t i = 0; i < uncached.points.size(); ++i) {
-            const auto &a = pairs[0].fixed.points[i];
-            const auto &b = uncached.points[i];
+        api::SweepResult warm = phbench::engine().run(req);
+        api::Engine cold;
+        api::SweepResult fresh = cold.run(req);
+        for (const api::SweepResult *r : {&warm, &fresh}) {
             cacheIdentical = cacheIdentical &&
-                             a.memory.z.failures == b.memory.z.failures &&
-                             a.memory.x.failures == b.memory.x.failures &&
-                             a.memory.z.shots == b.memory.z.shots &&
-                             a.memory.x.shots == b.memory.x.shots;
+                             r->points.size() == pairs[0].fixed.points.size();
+            for (std::size_t i = 0; cacheIdentical && i < r->points.size();
+                 ++i) {
+                const auto &a = pairs[0].fixed.points[i];
+                const auto &b = r->points[i];
+                cacheIdentical = a.memory.z.failures == b.memory.z.failures &&
+                                 a.memory.x.failures == b.memory.x.failures &&
+                                 a.memory.z.shots == b.memory.z.shots &&
+                                 a.memory.x.shots == b.memory.x.shots;
+            }
         }
-        std::printf("cache on/off bit-identical: %s\n",
+        std::printf("warm/fresh engine bit-identical: %s\n",
                     cacheIdentical ? "yes" : "NO");
     }
 

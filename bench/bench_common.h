@@ -16,6 +16,7 @@
 #ifndef PROPHUNT_BENCH_COMMON_H
 #define PROPHUNT_BENCH_COMMON_H
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -83,6 +84,54 @@ lerOptions()
 }
 
 // ---------------------------------------------------------------------------
+
+/** Monotonic wall clock in seconds, for bench timings. */
+inline double
+now()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+/**
+ * Numeric value of @p key in the entry of @p code inside one of our own
+ * committed baseline JSON artifacts, or 0 when the file, entry, or key
+ * is absent. The entry is the object holding `"code": "<code>"`; the
+ * scan stops at its closing brace, so a key the entry lacks never reads
+ * the next entry's value. The files are our own output (no braces in
+ * strings), so a string scan beats a JSON library.
+ */
+inline double
+baselineValue(const std::string &path, const std::string &code,
+              const char *key)
+{
+    FILE *f = std::fopen(path.c_str(), "r");
+    if (f == nullptr) {
+        return 0.0;
+    }
+    std::string text;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+        text.append(buf, n);
+    }
+    std::fclose(f);
+    std::size_t at = text.find("\"code\": \"" + code + "\"");
+    if (at == std::string::npos) {
+        return 0.0;
+    }
+    std::size_t end = at;
+    for (int depth = 1; end < text.size() && depth > 0; ++end) {
+        depth += text[end] == '{' ? 1 : text[end] == '}' ? -1 : 0;
+    }
+    std::string quoted = std::string("\"") + key + "\":";
+    std::size_t k = text.find(quoted, at);
+    if (k == std::string::npos || k >= end) {
+        return 0.0;
+    }
+    return std::atof(text.c_str() + k + quoted.size());
+}
 
 /** Combined memory-Z + memory-X LER of a schedule, through the engine. */
 inline double

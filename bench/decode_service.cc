@@ -26,15 +26,16 @@
  * the run FAILS on any mismatch (the service determinism contract,
  * observed under real saturation rather than a test harness).
  *
- * Tally reuse is disabled (distinct work per request is the point);
- * coalescing stays on so clients share each code's warm clone group.
+ * Every job sets DecodeJob::record = false, so no shard tally is ever
+ * recorded and every request decodes all of its shots (distinct work
+ * per request is the point); same-key clients still coalesce onto each
+ * code's warm clone group.
  *
  * Writes $PROPHUNT_BENCH_OUT (default BENCH_decode_service.json);
  * the committed reference lives at $PROPHUNT_DECODE_SERVICE_BASELINE
  * (default ../bench/results/decode_service_baseline.json).
  */
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -92,44 +93,6 @@ struct Row
 const std::size_t kClientCounts[] = {1, 2, 4};
 constexpr std::size_t kRequestsPerPhase = 8;
 
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** As packed_pipeline: numeric @p key of @p code's entry in one of our
- * own committed JSON artifacts (0 when absent). */
-double
-baselineValue(const std::string &path, const std::string &code,
-              const char *key)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        return 0.0;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        text.append(buf, n);
-    }
-    std::fclose(f);
-    std::string anchor = "\"code\": \"" + code + "\"";
-    std::size_t at = text.find(anchor);
-    if (at == std::string::npos) {
-        return 0.0;
-    }
-    std::string quoted = std::string("\"") + key + "\":";
-    std::size_t k = text.find(quoted, at);
-    if (k == std::string::npos) {
-        return 0.0;
-    }
-    return std::atof(text.c_str() + k + quoted.size());
-}
-
 /** Drain the request list through @p service with @p clients threads. */
 Phase
 runPhase(api::DecodeService &service, const std::shared_ptr<Model> &model,
@@ -139,7 +102,7 @@ runPhase(api::DecodeService &service, const std::shared_ptr<Model> &model,
     Phase phase;
     phase.clients = clients;
     phase.failures.assign(kRequestsPerPhase, 0);
-    double t0 = now();
+    double t0 = phbench::now();
     std::vector<std::thread> threads;
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
@@ -154,6 +117,7 @@ runPhase(api::DecodeService &service, const std::shared_ptr<Model> &model,
                 job.seed = 300 + r; // identical seed set in every phase
                 job.ler.threads = 1; // clients are the concurrency
                 job.ler.shardShots = shard_shots;
+                job.record = false; // decode every shot, every phase
                 phase.failures[r] =
                     service.measure(job).result.failures;
             }
@@ -162,7 +126,7 @@ runPhase(api::DecodeService &service, const std::shared_ptr<Model> &model,
     for (std::thread &t : threads) {
         t.join();
     }
-    phase.secs = now() - t0;
+    phase.secs = phbench::now() - t0;
     phase.requestsPerSec = kRequestsPerPhase / phase.secs;
     phase.shotsPerSec = kRequestsPerPhase * shots / phase.secs;
     return phase;
@@ -201,18 +165,16 @@ runConfig(const Config &cfg)
     double calibSecs = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         auto dec = model->prototype->clone();
-        double t0 = now();
+        double t0 = phbench::now();
         decoder::measureDemLer(model->dem, *dec, row.shotsPerRequest, 300,
                                serial);
-        calibSecs = std::min(calibSecs, now() - t0);
+        calibSecs = std::min(calibSecs, phbench::now() - t0);
     }
     row.calibRate = row.shotsPerRequest / calibSecs;
 
     // --- the service under saturation: one persistent instance across
     // all phases (warm clones carry over — that is the product).
-    api::DecodeServiceOptions opts;
-    opts.reuseShots = false;
-    api::DecodeService service(opts);
+    api::DecodeService service;
     for (std::size_t clients : kClientCounts) {
         Phase best;
         for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -296,9 +258,9 @@ main()
             // Committed-baseline gate, guarded by the calibration rate:
             // only on hardware at least as fast as the baseline's may
             // the committed single-client rate be demanded (5% slack).
-            double committedCalib =
-                baselineValue(baseline, "rqt54", "calib_shots_per_sec");
-            double committedSingle = baselineValue(
+            double committedCalib = phbench::baselineValue(
+                baseline, "rqt54", "calib_shots_per_sec");
+            double committedSingle = phbench::baselineValue(
                 baseline, "rqt54", "single_client_shots_per_sec");
             if (committedCalib > 0 && committedSingle > 0 &&
                 row.calibRate >= committedCalib &&

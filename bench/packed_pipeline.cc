@@ -30,7 +30,6 @@
  *    time per OSD shot ($PROPHUNT_OSD_BASELINE, default
  *    ../bench/results/osd_pipeline_baseline.json).
  */
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -71,48 +70,6 @@ struct Row
     double osdUsPacked = 0;
 };
 
-/**
- * Numeric value of @p key in the entry of @p code inside one of our own
- * committed baseline JSON artifacts, or 0 when the file, entry, or key
- * is absent. The files are our own output, so a string scan beats a
- * JSON library.
- */
-double
-baselineValue(const std::string &path, const std::string &code,
-              const char *key)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        return 0.0;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        text.append(buf, n);
-    }
-    std::fclose(f);
-    std::string anchor = "\"code\": \"" + code + "\"";
-    std::size_t at = text.find(anchor);
-    if (at == std::string::npos) {
-        return 0.0;
-    }
-    std::string quoted = std::string("\"") + key + "\":";
-    std::size_t k = text.find(quoted, at);
-    if (k == std::string::npos) {
-        return 0.0;
-    }
-    return std::atof(text.c_str() + k + quoted.size());
-}
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 Row
 runConfig(const Config &cfg)
 {
@@ -140,11 +97,11 @@ runConfig(const Config &cfg)
     sim::SampleBatch rows;
     double batchedSecs = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        double t0 = now();
+        double t0 = phbench::now();
         sim::sampleDemFramesInto(dem, row.shots, 201, frames);
         sim::transposeFrames(frames, rows);
         batchedDec.decodeBatch(rows, 0, row.shots, batchedPred.data());
-        batchedSecs = std::min(batchedSecs, now() - t0);
+        batchedSecs = std::min(batchedSecs, phbench::now() - t0);
     }
 
     // --- lane path: packed frames straight into the SIMD lane engine.
@@ -153,11 +110,11 @@ runConfig(const Config &cfg)
     decoder::PackedDecodeStats laneStats;
     row.osdUsPacked = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-        double t0 = now();
+        double t0 = phbench::now();
         sim::sampleDemFramesInto(dem, row.shots, 201, frames);
         laneStats = decoder::PackedDecodeStats{};
         laneDec.decodePacked(frames.view(), lanePred.data(), &laneStats);
-        laneSecs = std::min(laneSecs, now() - t0);
+        laneSecs = std::min(laneSecs, phbench::now() - t0);
         row.osdUsPacked =
             std::min(row.osdUsPacked, (double)laneStats.osdUs);
     }
@@ -254,7 +211,8 @@ main()
     std::string baseline =
         basePath ? basePath : "../bench/results/packed_pipeline_baseline.json";
     auto committedBatched = [&](const Row &r) {
-        return baselineValue(baseline, r.name, "packed_batch_shots_per_sec");
+        return phbench::baselineValue(baseline, r.name,
+                                      "packed_batch_shots_per_sec");
     };
     auto fastMachine = [&](const Row &r) {
         double committed = committedBatched(r);
@@ -321,16 +279,16 @@ main()
                 // End-to-end speedup gate for the packed-OSD rewrite: on
                 // fast hardware the lane path must beat the frozen lane
                 // record by >= 1.3x on rqt54.
-                double pr4Lane = baselineValue(laneRecord, r.name,
-                                               "lane_shots_per_sec");
-                if (pr4Lane > 0 && fastMachine(r) &&
-                    r.laneRate < 1.3 * pr4Lane) {
+                double frozenLane = phbench::baselineValue(
+                    laneRecord, r.name, "lane_shots_per_sec");
+                if (frozenLane > 0 && fastMachine(r) &&
+                    r.laneRate < 1.3 * frozenLane) {
                     laneGateHolds = false;
                     char buf[192];
                     std::snprintf(buf, sizeof buf,
                                   "lane %.0f shots/s < 1.3x committed PR4 "
                                   "lane %.0f shots/s on rqt54",
-                                  r.laneRate, pr4Lane);
+                                  r.laneRate, frozenLane);
                     gateDetail = buf;
                 }
             }
@@ -359,11 +317,11 @@ main()
         for (std::size_t i = 0; i < rowsOut.size(); ++i) {
             const Row &r = rowsOut[i];
             double committedPacked =
-                baselineValue(osdBaseline, r.name, "packed_elim_us");
-            double committedScalar =
-                baselineValue(osdBaseline, r.name, "scalar_post_pass_us");
+                phbench::baselineValue(osdBaseline, r.name, "packed_elim_us");
+            double committedScalar = phbench::baselineValue(
+                osdBaseline, r.name, "scalar_post_pass_us");
             double committedOsdShots =
-                baselineValue(osdBaseline, r.name, "osd_shots");
+                phbench::baselineValue(osdBaseline, r.name, "osd_shots");
             double perShot =
                 r.osdShots > 0 ? r.osdUsPacked / r.osdShots : 0.0;
             double committedScalarPerShot =

@@ -91,47 +91,15 @@ scratchCalibration(const circuit::SmSchedule &start, std::size_t count)
         return 0.0;
     }
     uint64_t sink = 0;
-    auto t0 = std::chrono::steady_clock::now();
+    double t0 = phbench::now();
     for (std::size_t i = 0; i < count; ++i) {
         circuit::SmSchedule next =
             search::applyMove(start, moves[i % moves.size()]);
         sink ^= objective.evaluate(next) ^ search::scheduleKey(next);
     }
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    double secs = phbench::now() - t0;
     benchmark::DoNotOptimize(sink);
     return secs > 0.0 ? (double)count / secs : 0.0;
-}
-
-/** As decode_service: numeric @p key of @p code's entry in one of our
- * own committed JSON artifacts (0 when absent). */
-double
-baselineValue(const std::string &path, const std::string &code,
-              const char *key)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        return 0.0;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        text.append(buf, n);
-    }
-    std::fclose(f);
-    std::string anchor = "\"code\": \"" + code + "\"";
-    std::size_t at = text.find(anchor);
-    if (at == std::string::npos) {
-        return 0.0;
-    }
-    std::string quoted = std::string("\"") + key + "\":";
-    std::size_t k = text.find(quoted, at);
-    if (k == std::string::npos) {
-        return 0.0;
-    }
-    return std::atof(text.c_str() + k + quoted.size());
 }
 
 Row
@@ -160,12 +128,10 @@ race(const std::string &label, const circuit::SmSchedule &start,
     row.code = label;
     row.startObjective = objective.evaluate(start);
 
-    auto t0 = std::chrono::steady_clock::now();
+    double t0 = phbench::now();
     core::OptimizeResult res =
         search::runPortfolio(start, rounds, opts, portfolio);
-    row.secs = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
+    row.secs = phbench::now() - t0;
     row.portfolioObjective = objective.evaluate(res.finalSchedule());
     for (const search::StrategyReport &rep : res.searchReports) {
         row.strategies.push_back({rep.name, rep.winner, rep.stats});
@@ -268,8 +234,8 @@ main(int argc, char **argv)
         std::printf("\nbaseline gate skipped (budget overridden by env)\n");
     } else {
         for (const Row &row : rows) {
-            double committed = baselineValue(baseline, row.code,
-                                             "portfolio_objective");
+            double committed = phbench::baselineValue(
+                baseline, row.code, "portfolio_objective");
             if (committed <= 0.0) {
                 continue; // config absent from baseline: no gate
             }
@@ -310,9 +276,9 @@ main(int argc, char **argv)
                             ratio);
                 failed = true;
             }
-            double committed_scratch = baselineValue(
+            double committed_scratch = phbench::baselineValue(
                 baseline, row.code, "scratch_expansions_per_sec");
-            double committed_beam = baselineValue(
+            double committed_beam = phbench::baselineValue(
                 baseline, row.code, "beam_expansions_per_sec");
             if (committed_scratch > 0.0 && committed_beam > 0.0 &&
                 row.scratchRate >= committed_scratch &&

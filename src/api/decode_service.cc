@@ -20,10 +20,10 @@ thread_local const void *tlLastStream = nullptr;
 
 } // namespace
 
-DecodeService::DecodeService(DecodeServiceOptions opts) : opts_(opts)
+DecodeService::DecodeService(DecodeServiceOptions opts)
 {
-    if (opts_.threads > 0) {
-        pool_ = std::make_unique<sim::WorkerPool>(opts_.threads);
+    if (opts.threads > 0) {
+        pool_ = std::make_unique<sim::WorkerPool>(opts.threads);
     }
 }
 
@@ -61,7 +61,7 @@ DecodeService::groupForLocked(const DecodeJob &job)
     group->owner = job.keepAlive;
     groups_.emplace(job.key, group);
     groupOrder_.push_back(job.key);
-    if (opts_.maxLaneGroups != 0 && groupOrder_.size() > opts_.maxLaneGroups) {
+    if (groupOrder_.size() > kMaxLaneGroups) {
         groups_.erase(groupOrder_.front());
         groupOrder_.pop_front();
     }
@@ -91,7 +91,7 @@ DecodeService::tallyForLocked(const std::string &tally_key,
     entry->owner = job.keepAlive;
     tallies_.emplace(tally_key, entry);
     tallyOrder_.push_back(tally_key);
-    if (opts_.maxTallyKeys != 0 && tallyOrder_.size() > opts_.maxTallyKeys) {
+    if (tallyOrder_.size() > kMaxTallyKeys) {
         tallies_.erase(tallyOrder_.front());
         tallyOrder_.pop_front();
     }
@@ -163,7 +163,6 @@ DecodeService::measure(const DecodeJob &job)
 
     std::shared_ptr<LaneGroup> group;
     std::shared_ptr<TallyEntry> tally;
-    LaneGroup privateGroup; // coalescing off: per-request clone set.
 
     // Admission: coalescing bookkeeping, lane-group checkout, and the
     // tally-prefix scan happen under one lock so concurrent same-key
@@ -171,17 +170,13 @@ DecodeService::measure(const DecodeJob &job)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         std::size_t &active = activeKeys_[job.key];
-        out.coalesced = opts_.coalesce && active > 0;
+        out.coalesced = active > 0;
         if (out.coalesced) {
             ++stats_.coalescedRequests;
         }
         ++active;
-        if (opts_.coalesce) {
-            group = groupForLocked(job);
-        }
-        if (opts_.reuseShots) {
-            tally = tallyForLocked(tallyKey, job, job.record);
-        }
+        group = groupForLocked(job);
+        tally = tallyForLocked(tallyKey, job, job.record);
         for (std::size_t shard = 0; shard < n; ++shard) {
             if (tally && shard < tally->shards.size() &&
                 tally->shards[shard].shots == plan.shotsOf(shard)) {
@@ -217,6 +212,23 @@ DecodeService::measure(const DecodeJob &job)
     std::size_t executed = 0;
     std::atomic<std::size_t> steals{0};
 
+    // Release the admission bookkeeping. Runs on every exit path, also
+    // when a shard decode throws out of pool().run: otherwise the key
+    // would stay in flight (every later request "coalesced") and its
+    // unfinished shards would inflate the queue depth for good.
+    auto release = [&] {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Shards never claimed (early stop / cancel) or never finished
+        // (a throwing decode) leave the queue.
+        pendingShards_ -= std::min(pendingShards_, todo.size() - executed);
+        stats_.steals += out.steals;
+        stats_.reusedShots += out.reusedShots;
+        auto it = activeKeys_.find(job.key);
+        if (it != activeKeys_.end() && --it->second == 0) {
+            activeKeys_.erase(it);
+        }
+    };
+
     if (!todo.empty() && !targetMet && !cancelled) {
         std::size_t cap = job.ler.threads != 0
                               ? sim::resolveThreads(job.ler.threads)
@@ -224,68 +236,68 @@ DecodeService::measure(const DecodeJob &job)
         std::size_t maxSlots = std::min(cap, todo.size());
         std::vector<sim::FrameBatch> frameScratch(maxSlots);
         std::vector<decoder::FrameShardScratch> decodeScratch(maxSlots);
-        const void *streamTag =
-            group ? (const void *)group.get() : (const void *)&privateGroup;
-        LaneGroup &lanes = group ? *group : privateGroup;
+        const void *streamTag = group.get();
 
-        pool().run(
-            todo.size(), maxSlots,
-            [&](std::size_t t, std::size_t slot) {
-                if (job.cancel != nullptr &&
-                    job.cancel->load(std::memory_order_relaxed)) {
+        auto decodeShard = [&](std::size_t t, std::size_t slot) {
+            if (job.cancel != nullptr &&
+                job.cancel->load(std::memory_order_relaxed)) {
+                stopFlag.store(true, std::memory_order_relaxed);
+                return;
+            }
+            std::size_t shard = todo[t];
+            bool stolen = tlLastStream != nullptr && tlLastStream != streamTag;
+            tlLastStream = streamTag;
+
+            auto dec = checkout(*group, job);
+            sim::FrameBatch &frames = frameScratch[slot];
+            sim::sampleDemFramesInto(*job.dem, plan.shotsOf(shard),
+                                     sim::shardSeed(job.seed, shard),
+                                     frames);
+            decoder::FrameShardScratch &ws = decodeScratch[slot];
+            std::size_t failures = decoder::decodeFrameShard(*dec, frames, ws);
+            giveBack(*group, std::move(dec));
+
+            {
+                std::lock_guard<std::mutex> lock(runMutex);
+                shardFailures[shard] = failures;
+                shardStats[shard] = ws.stats;
+                shardDone[shard] = 1;
+                ++executed;
+                while (prefixEnd < n && shardDone[prefixEnd]) {
+                    prefixFailures += shardFailures[prefixEnd];
+                    ++prefixEnd;
+                }
+                if (job.ler.maxFailures != 0 &&
+                    prefixFailures >= job.ler.maxFailures) {
                     stopFlag.store(true, std::memory_order_relaxed);
-                    return;
                 }
-                std::size_t shard = todo[t];
-                bool stolen = tlLastStream != nullptr &&
-                              tlLastStream != streamTag;
-                tlLastStream = streamTag;
+            }
+            if (stolen) {
+                steals.fetch_add(1, std::memory_order_relaxed);
+            }
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (pendingShards_ > 0) {
+                    --pendingShards_;
+                }
+                ++stats_.decodedShards;
+                if (tally && job.record) {
+                    if (tally->shards.size() <= shard) {
+                        tally->shards.resize(shard + 1);
+                    }
+                    tally->shards[shard] =
+                        ShardTally{plan.shotsOf(shard), failures,
+                                   ws.stats};
+                }
+            }
+        };
 
-                auto dec = checkout(lanes, job);
-                sim::FrameBatch &frames = frameScratch[slot];
-                sim::sampleDemFramesInto(*job.dem, plan.shotsOf(shard),
-                                         sim::shardSeed(job.seed, shard),
-                                         frames);
-                decoder::FrameShardScratch &ws = decodeScratch[slot];
-                std::size_t failures =
-                    decoder::decodeFrameShard(*dec, frames, ws);
-                giveBack(lanes, std::move(dec));
-
-                {
-                    std::lock_guard<std::mutex> lock(runMutex);
-                    shardFailures[shard] = failures;
-                    shardStats[shard] = ws.stats;
-                    shardDone[shard] = 1;
-                    ++executed;
-                    while (prefixEnd < n && shardDone[prefixEnd]) {
-                        prefixFailures += shardFailures[prefixEnd];
-                        ++prefixEnd;
-                    }
-                    if (job.ler.maxFailures != 0 &&
-                        prefixFailures >= job.ler.maxFailures) {
-                        stopFlag.store(true, std::memory_order_relaxed);
-                    }
-                }
-                if (stolen) {
-                    steals.fetch_add(1, std::memory_order_relaxed);
-                }
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (pendingShards_ > 0) {
-                        --pendingShards_;
-                    }
-                    ++stats_.decodedShards;
-                    if (tally && job.record) {
-                        if (tally->shards.size() <= shard) {
-                            tally->shards.resize(shard + 1);
-                        }
-                        tally->shards[shard] =
-                            ShardTally{plan.shotsOf(shard), failures,
-                                       ws.stats};
-                    }
-                }
-            },
-            &stopFlag);
+        try {
+            pool().run(todo.size(), maxSlots, decodeShard, &stopFlag);
+        } catch (...) {
+            release();
+            throw;
+        }
     }
     out.steals = steals.load(std::memory_order_relaxed);
 
@@ -310,17 +322,7 @@ DecodeService::measure(const DecodeJob &job)
         }
     }
 
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Shards never claimed (early stop / cancel) leave the queue.
-        pendingShards_ -= std::min(pendingShards_, todo.size() - executed);
-        stats_.steals += out.steals;
-        stats_.reusedShots += out.reusedShots;
-        auto it = activeKeys_.find(job.key);
-        if (it != activeKeys_.end() && --it->second == 0) {
-            activeKeys_.erase(it);
-        }
-    }
+    release();
     return out;
 }
 

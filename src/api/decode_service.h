@@ -25,12 +25,12 @@
  *    bit-identical to a serial run at any thread count and any arrival
  *    order;
  *  - completed shard tallies (failures + packed-decode stats per shard
- *    seed) are recorded under a FIFO-bounded key so later requests —
- *    or coalesced concurrent ones — satisfy part of their shot budget
- *    without re-decoding. Reuse is bit-exact by construction: a tally
- *    is only consulted when its (key, seed, shard size) tuple matches
- *    exactly, and shard results do not depend on which thread or clone
- *    produced them.
+ *    seed) are recorded under a FIFO-bounded key (kMaxTallyKeys) so
+ *    later requests — or coalesced concurrent ones — satisfy part of
+ *    their shot budget without re-decoding. Reuse is bit-exact by
+ *    construction: a tally is only consulted when its (key, seed, shard
+ *    size) tuple matches exactly, and shard results do not depend on
+ *    which thread or clone produced them.
  *
  * Determinism contract: measure() returns exactly what
  * decoder::measureDemLer(dem, clone, shots, seed, ler) returns for the
@@ -59,7 +59,7 @@
 
 namespace prophunt::api {
 
-/** DecodeService construction knobs. */
+/** DecodeService construction options. */
 struct DecodeServiceOptions
 {
     /**
@@ -69,15 +69,6 @@ struct DecodeServiceOptions
      * small machines).
      */
     std::size_t threads = 0;
-    /** Let same-key concurrent requests share one lane group. */
-    bool coalesce = true;
-    /** Record and reuse per-shard tallies across requests. */
-    bool reuseShots = true;
-    /** FIFO bound on distinct tally keys (0 = unbounded). Each key holds
-     * the tallies of one (decode key, seed, shard size) stream. */
-    std::size_t maxTallyKeys = 64;
-    /** FIFO bound on warm lane groups (0 = unbounded). */
-    std::size_t maxLaneGroups = 16;
 };
 
 /**
@@ -110,7 +101,9 @@ struct DecodeJob
      * contiguous completed shard prefix (a valid smaller run).
      */
     const std::atomic<bool> *cancel = nullptr;
-    /** Record this run's shard tallies for later reuse. */
+    /** Record this run's shard tallies for later reuse. A job with
+     * record = false still reuses tallies recorded earlier under its
+     * stream, but creates and updates none. */
     bool record = true;
 };
 
@@ -156,6 +149,12 @@ struct DecodeServiceStats
 class DecodeService
 {
   public:
+    /** FIFO bound on distinct tally keys. Each key holds the tallies of
+     * one (decode key, seed, shard size) stream. */
+    static constexpr std::size_t kMaxTallyKeys = 64;
+    /** FIFO bound on warm lane groups. */
+    static constexpr std::size_t kMaxLaneGroups = 16;
+
     explicit DecodeService(DecodeServiceOptions opts = {});
     ~DecodeService();
     DecodeService(const DecodeService &) = delete;
@@ -208,9 +207,8 @@ class DecodeService
                                                const DecodeJob &job);
     void giveBack(LaneGroup &group, std::unique_ptr<decoder::Decoder> dec);
 
-    DecodeServiceOptions opts_;
-    /** Dedicated pool (opts_.threads > 0); otherwise WorkerPool::shared()
-     * serves the shards. */
+    /** Dedicated pool (DecodeServiceOptions::threads > 0); otherwise
+     * WorkerPool::shared() serves the shards. */
     std::unique_ptr<sim::WorkerPool> pool_;
 
     mutable std::mutex mutex_;

