@@ -43,6 +43,39 @@ osdPostKey(double v)
     return (b & (uint64_t{1} << 63)) != 0 ? ~b : (b | (uint64_t{1} << 63));
 }
 
+/** Set bit i of @p row for every i in @p idx. */
+inline void
+setRowBits(uint64_t *row, const std::vector<uint32_t> &idx)
+{
+    for (uint32_t i : idx) {
+        row[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+}
+
+/** OR the rows @p rows of @p m into @p words and list the set bits in
+ * ascending order into @p out. */
+void
+unionOfRows(const DenseBitMat &m, const std::vector<uint32_t> &rows,
+            std::vector<uint64_t> &words, std::vector<uint32_t> &out)
+{
+    std::size_t n = m.rowWords();
+    words.assign(n, 0);
+    for (uint32_t r : rows) {
+        const uint64_t *row = m.row(r);
+        for (std::size_t w = 0; w < n; ++w) {
+            words[w] |= row[w];
+        }
+    }
+    out.clear();
+    for (std::size_t w = 0; w < n; ++w) {
+        uint64_t word = words[w];
+        while (word != 0) {
+            out.push_back((uint32_t)((w << 6) + std::countr_zero(word)));
+            word &= word - 1;
+        }
+    }
+}
+
 } // namespace
 
 std::shared_ptr<const BpOsdDecoder::Tanner>
@@ -124,6 +157,11 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
     }
     t->allCols.resize(ne);
     std::iota(t->allCols.begin(), t->allCols.end(), 0);
+    for (std::size_t d = 0; d < numDetectors; ++d) {
+        if (t->detBegin[d + 1] != t->detBegin[d]) {
+            t->allDets.push_back((uint32_t)d);
+        }
+    }
     return t;
 }
 
@@ -149,13 +187,14 @@ BpOsdDecoder::BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts)
     edgeNeg_.assign(maxDeg, 0);
     satFromDet_.assign(numDetectors_, -1);
     // Reach bitmaps pay one BFS per distinct seed detector and then
-    // replace every later BFS with an OR; cap the matrix at a size where
-    // that trade is obviously right (32 MB covers every benchmark code
-    // by orders of magnitude). The matrix itself is allocated lazily on
-    // the first growRegion — engine caches hold prototype decoders that
-    // are only ever clone()d, and per-worker clones should not each
-    // commit megabytes before decoding a single shot.
-    std::size_t reachWords = (ne + 63) / 64;
+    // replace every later BFS with an OR; cap the two matrices at a size
+    // where that trade is obviously right (32 MB covers every benchmark
+    // code by orders of magnitude). The matrices themselves are
+    // allocated lazily on the first growRegion — engine caches hold
+    // prototype decoders that are only ever clone()d, and per-worker
+    // clones should not each commit megabytes before decoding a single
+    // shot.
+    std::size_t reachWords = (ne + 63) / 64 + (numDetectors_ + 63) / 64;
     reachEnabled_ = ne > 0 && numDetectors_ > 0 &&
                     numDetectors_ * reachWords * 8 <= 32u << 20;
 }
@@ -426,24 +465,24 @@ BpOsdDecoder::growRegion(const std::vector<uint32_t> &flipped)
     // built per-detector reach bitmaps — one saturating seed proves the
     // whole region covers every column, and otherwise errs_ is the OR
     // of the seed rows extracted in canonical ascending order; both
-    // match the BFS discovery-order region bit for bit.
+    // match the BFS discovery-order region bit for bit. The detector set
+    // (touchedDets_) is the union of the seeds' detector sets the same
+    // way.
     if (reachEnabled_ && !flipped.empty()) {
         std::size_t ne = tanner_->colDets.size();
         if (reachCols_.rows() != numDetectors_) {
             // First use (a populated clone arrives already sized).
             reachCols_.reset(numDetectors_, ne);
+            reachDets_.reset(numDetectors_, numDetectors_);
             reachBuilt_.assign(numDetectors_, 0);
-            regionWords_.assign(reachCols_.rowWords(), 0);
         }
         bool saturated = false;
         for (uint32_t d : flipped) {
             if (!reachBuilt_[d]) {
                 seedScratch_.assign(1, d);
                 growRegionBfs(seedScratch_);
-                uint64_t *row = reachCols_.row(d);
-                for (uint32_t c : errs_) {
-                    row[c >> 6] |= uint64_t{1} << (c & 63);
-                }
+                setRowBits(reachCols_.row(d), errs_);
+                setRowBits(reachDets_.row(d), touchedDets_);
                 reachBuilt_[d] = 1;
                 satFromDet_[d] = errs_.size() == ne ? 1 : 0;
             }
@@ -454,25 +493,11 @@ BpOsdDecoder::growRegion(const std::vector<uint32_t> &flipped)
         }
         if (saturated) {
             errs_ = tanner_->allCols;
+            touchedDets_ = tanner_->allDets;
             return;
         }
-        std::size_t words = reachCols_.rowWords();
-        std::fill(regionWords_.begin(), regionWords_.end(), uint64_t{0});
-        for (uint32_t d : flipped) {
-            const uint64_t *row = reachCols_.row(d);
-            for (std::size_t w = 0; w < words; ++w) {
-                regionWords_[w] |= row[w];
-            }
-        }
-        errs_.clear();
-        for (std::size_t w = 0; w < words; ++w) {
-            uint64_t word = regionWords_[w];
-            while (word != 0) {
-                errs_.push_back(
-                    (uint32_t)((w << 6) + std::countr_zero(word)));
-                word &= word - 1;
-            }
-        }
+        unionOfRows(reachCols_, flipped, regionWords_, errs_);
+        unionOfRows(reachDets_, flipped, regionWords_, touchedDets_);
         return;
     }
     // Bitmaps disabled: probe the first seed's memoized saturation flag,
@@ -486,6 +511,7 @@ BpOsdDecoder::growRegion(const std::vector<uint32_t> &flipped)
         }
         if (satFromDet_[flipped[0]] == 1) {
             errs_ = tanner_->allCols;
+            touchedDets_ = tanner_->allDets;
             return;
         }
     }

@@ -138,8 +138,10 @@ class BpOsdDecoder : public Decoder
         std::vector<uint32_t> colDet;   ///< Edge -> detector.
         std::vector<uint32_t> detBegin;
         std::vector<uint32_t> detEdges; ///< Detector -> edge ids, (c, k) order.
-        std::vector<uint32_t> detCol;   ///< Column of detEdges[i] (growth).
+        std::vector<uint32_t> detCol;   ///< Column of detEdges[i] (growth,
+                                        ///< lane membership).
         std::vector<uint32_t> allCols;  ///< 0..numErrors-1 (full-graph pass).
+        std::vector<uint32_t> allDets;  ///< Detectors with an incident column.
     };
 
     /** Build the shared read-only Tanner structure of @p dem. */
@@ -152,7 +154,10 @@ class BpOsdDecoder : public Decoder
                        const std::vector<uint32_t> &flipped, bool &ok);
 
     /** Grow the localized region (regionRadius layers) around @p flipped
-     * into errs_; the errIn_/detIn_ marks are restored before returning.
+     * into errs_, and its detector set into touchedDets_ — exactly the
+     * detectors adjacent to its columns when regionRadius >= 1 and every
+     * seed has an incident column, as on every lane-engine install; the
+     * errIn_/detIn_ marks are restored before returning.
      *
      * Saturation fast path: region growth is monotone in its seed set,
      * so if the region grown from @p flipped's first detector alone
@@ -228,7 +233,8 @@ class BpOsdDecoder : public Decoder
 
     /** Size the lane-interleaved state (no-op once sized). */
     void laneEnsure();
-    /** Park shot @p shot (region already grown into errs_) in lane @p l. */
+    /** Park shot @p shot in lane @p l; growRegion has just left its
+     * region in errs_ and the region's detectors in touchedDets_. */
     void laneInstall(std::size_t l, std::size_t shot,
                      const std::vector<uint32_t> &flipped);
     /** Finish lane @p l and restore the lane's slice of every
@@ -285,7 +291,7 @@ class BpOsdDecoder : public Decoder
     std::vector<uint8_t> detIn_;      ///< Region-growth detector marks.
     std::vector<int32_t> detLocal_;   ///< Detector -> local index (OSD).
     std::vector<uint32_t> regionDets_;
-    std::vector<uint32_t> touchedDets_;
+    std::vector<uint32_t> touchedDets_; ///< growRegion's region detectors.
     std::vector<uint8_t> edgeNeg_;    ///< Per-slot message signs (one row).
     std::vector<uint32_t> errs_;
     std::vector<uint32_t> frontier_;
@@ -303,11 +309,14 @@ class BpOsdDecoder : public Decoder
      * word-wide sweep plus a bit extraction per shot instead of an edge
      * walk, with errs_ emerging in canonical ascending order (which
      * also makes same-set regions group in the batched OSD queue).
-     * Enabled unless the matrix would be unreasonably large
+     * reachDets_ row d is the same seed BFS's detector set, so the
+     * region's detectors (touchedDets_) are an OR away as well.
+     * Enabled unless the matrices would be unreasonably large
      * (reachEnabled_); the BFS path remains as the fallback and the
      * row builder.
      */
     DenseBitMat reachCols_;
+    DenseBitMat reachDets_;
     std::vector<uint8_t> reachBuilt_;
     bool reachEnabled_ = false;
     std::vector<uint64_t> regionWords_; ///< OR-of-rows scratch.
@@ -330,27 +339,28 @@ class BpOsdDecoder : public Decoder
     // Lane engine state (sized by laneEnsure on the first packed decode).
     // Message/posterior arrays are lane-interleaved: element (i, lane)
     // lives at i*kLaneWidth + lane. The region membership that the scalar
-    // scratch encodes with sentinel *values* is carried by the per-edge
-    // lane bit planes instead: laneMsg_ may hold garbage in inactive
-    // lanes, the detector pass substitutes the sentinel (or, on a lane's
-    // first iteration, the column prior) while loading. That turns the
-    // per-shot install/retire work from one strided double per edge into
-    // one contiguous bit per edge.
+    // scratch encodes with sentinel *values* is carried by the
+    // per-column lane masks instead: an edge is in lane l's region
+    // exactly when bit l of its column's colLaneMask_ entry is set
+    // (Tanner::detCol names that column per detector slot). laneMsg_ may
+    // hold garbage in inactive lanes; the detector pass substitutes the
+    // sentinel (or, on a lane's first iteration, the column prior) while
+    // loading. Installing a shot therefore sets one bit per region column
+    // and one per region detector (growRegion's touchedDets_), and no
+    // per-edge state exists to install or retire.
     /** In-place message array: column->detector values going into a
      * detector pass, detector->column values going into a column pass
      * (an edge belongs to exactly one detector and one column, so each
      * pass may overwrite its input slot). */
     std::vector<double> laneMsg_;
     std::vector<double> lanePost_;
-    std::vector<uint16_t> laneEdgeActive_; ///< Bit l: edge in lane l's region.
-    std::vector<double> edgePrior_;      ///< prior_ of each edge's column.
     std::vector<double> laneStage_;      ///< Det-pass staging, maxDeg x W.
     std::vector<uint32_t> laneHardBits_; ///< Per column, bit l = lane l.
     std::vector<uint8_t> laneAcc_;       ///< Hard-decision parity per (det, lane).
     std::vector<uint8_t> laneSynB_;      ///< Syndrome bit per (det, lane).
     std::vector<double> laneSynSign_;    ///< -0.0 where the syndrome is set.
     std::vector<uint32_t> colLaneMask_;  ///< Per column, lanes it is active in.
-    std::vector<uint32_t> detLaneMask_;
+    std::vector<uint32_t> detLaneMask_;  ///< Per detector, likewise.
     template <typename T>
     using PerLane = std::array<T, BpOsdOptions::kLaneWidth>;
     PerLane<std::vector<uint32_t>> laneCols_; ///< Region per lane.

@@ -18,20 +18,21 @@
  * bits (PROPHUNT_NO_AVX512 / PROPHUNT_NO_AVX2 step down explicitly).
  *
  * Localized-region semantics are preserved per lane without per-shot
- * message initialization: laneEdgeActive_ carries one bit per
- * (edge, lane), and the detector pass substitutes the scalar path's
- * +1e300 inactive-edge sentinel — or the column prior on a lane's first
- * iteration, when no column pass has written real messages yet — while
- * loading. The message array may therefore hold garbage in inactive
- * lanes: installing a shot sets one contiguous bit per region edge
- * instead of writing one strided double (a full cache line each at 8
- * lanes), and retiring clears the lane's bit planes with
- * vectorizable full-array sweeps. Both passes find their work by
- * scanning the per-column/per-detector lane masks in index order, which
- * keeps the message walks sequential. Lanes retire individually
- * (convergence, stagnation, or the iteration budget) and are refilled
- * from the shot queue, so iteration skew between easy and hard syndromes
- * no longer serializes the batch.
+ * message initialization or any per-edge state: an edge is in lane l's
+ * region exactly when its column is, so the detector pass reads bit l of
+ * colLaneMask_[detCol[i]] for detector slot i and substitutes the scalar
+ * path's +1e300 inactive-edge sentinel — or the column prior on a lane's
+ * first iteration, when no column pass has written real messages yet —
+ * while loading. The message array may therefore hold garbage in
+ * inactive lanes: installing a shot sets one bit per region column and
+ * one per region detector (the detector set comes out of region growth
+ * alongside the columns, so no edge is walked), and retiring clears the
+ * lane's bit from the per-column/per-detector masks with vectorizable
+ * sweeps. Both passes find their work by scanning those masks in index
+ * order, which keeps the message walks sequential. Lanes retire
+ * individually (convergence, stagnation, or the iteration budget) and
+ * are refilled from the shot queue, so iteration skew between easy and
+ * hard syndromes no longer serializes the batch.
  *
  * Retired-but-unconverged lanes do not solve OSD inline: they compact
  * into a batched work queue (shot id, region, syndrome, posterior
@@ -102,12 +103,11 @@ struct LaneCtx
     const uint32_t *colDet = nullptr;
     const uint32_t *detBegin = nullptr;
     const uint32_t *detEdges = nullptr;
+    const uint32_t *detCol = nullptr;
     const double *prior = nullptr;
-    const double *edgePrior = nullptr;
     double *msg = nullptr;
     double *stage = nullptr;
     double *post = nullptr;
-    const uint16_t *edgeActive = nullptr;
     const double *synSign = nullptr;
     const uint8_t *synB = nullptr;
     uint8_t *acc = nullptr;
@@ -117,19 +117,20 @@ struct LaneCtx
     std::ptrdiff_t *mismatch = nullptr;
 };
 
-/** The effective column->detector message of (edge @p e, lane @p l): the
- * stored value for live region edges, the column prior before a lane's
- * first column pass, the scalar sentinel outside the region. */
+/** The effective column->detector message of detector slot @p i in lane
+ * @p l: the stored value for live region edges, the column prior before a
+ * lane's first column pass, the scalar sentinel outside the region. */
 inline double
-effectiveMsg(const LaneCtx &cx, std::size_t e, std::size_t l)
+effectiveMsg(const LaneCtx &cx, uint32_t i, std::size_t l)
 {
-    if (((cx.edgeActive[e] >> l) & 1) == 0) {
+    uint32_t c = cx.detCol[i];
+    if (((cx.colMask[c] >> l) & 1) == 0) {
         return kInactiveLane;
     }
     if (((cx.freshLanes >> l) & 1) != 0) {
-        return cx.edgePrior[e];
+        return cx.prior[c];
     }
-    return cx.msg[e * kW + l];
+    return cx.msg[(std::size_t)cx.detEdges[i] * kW + l];
 }
 
 /** Detector -> column pass for one (detector, lane): the scalar min-sum
@@ -143,7 +144,7 @@ detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
     double min1 = 1e300, min2 = 1e300;
     uint32_t argpos = UINT32_MAX;
     for (uint32_t i = 0; i < deg; ++i) {
-        double v = effectiveMsg(cx, cx.detEdges[b + i], l);
+        double v = effectiveMsg(cx, b + i, l);
         cx.stage[(std::size_t)i * kW + l] = v;
         if (v < 0.0) {
             negProduct = !negProduct;
@@ -272,8 +273,9 @@ detPassAvx2(const LaneCtx &cx)
         }
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            uint32_t act = cx.edgeActive[e];
-            const __m256d priorV = _mm256_set1_pd(cx.edgePrior[e]);
+            uint32_t c = cx.detCol[b + i];
+            uint32_t act = cx.colMask[c];
+            const __m256d priorV = _mm256_set1_pd(cx.prior[c]);
             const __m256d idx = _mm256_set1_pd((double)i);
             for (int k = 0; k < NC; ++k) {
                 __m256d am = nibbleMask((act >> (4 * k)) & 0xf);
@@ -387,7 +389,7 @@ colPassAvx2(const LaneCtx &cx)
 
 /**
  * AVX-512 kernels: one 512-bit vector carries all 8 lanes, half the
- * instruction stream of the AVX2 pair — and the per-edge lane bit planes
+ * instruction stream of the AVX2 pair — and the per-column lane masks
  * become native predicate masks (__mmask8) instead of nibble-expanded
  * blend vectors. Every select/compare mirrors the AVX2 kernel operation
  * for operation per lane, and all sign handling stays integer bit
@@ -414,12 +416,13 @@ detPassAvx512(const LaneCtx &cx)
         __m512d argpos = _mm512_set1_pd(-1.0);
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            __mmask8 am = (__mmask8)cx.edgeActive[e];
+            uint32_t c = cx.detCol[b + i];
+            __mmask8 am = (__mmask8)cx.colMask[c];
             __m512d v = _mm512_loadu_pd(cx.msg + e * kW);
             // Region membership: prior on the lane's first iteration,
             // stored value afterwards, sentinel outside the region.
             v = _mm512_mask_blend_pd((__mmask8)(am & fresh), v,
-                                     _mm512_set1_pd(cx.edgePrior[e]));
+                                     _mm512_set1_pd(cx.prior[c]));
             v = _mm512_mask_blend_pd(am, inactive, v);
             _mm512_storeu_pd(cx.stage + (std::size_t)i * kW, v);
             __m512i vi = _mm512_castpd_si512(v);
@@ -543,13 +546,6 @@ BpOsdDecoder::laneEnsure()
     }
     laneMsg_.assign(edges * kW, 0.0);
     lanePost_.assign(ne * kW, 0.0);
-    laneEdgeActive_.assign(edges, 0);
-    edgePrior_.resize(edges);
-    for (std::size_t c = 0; c < ne; ++c) {
-        for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-            edgePrior_[e] = tanner_->prior[c];
-        }
-    }
     std::size_t maxDeg = 0;
     for (std::size_t d = 0; d < numDetectors_; ++d) {
         maxDeg = std::max<std::size_t>(maxDeg,
@@ -569,34 +565,19 @@ BpOsdDecoder::laneInstall(std::size_t l, std::size_t shot,
                           const std::vector<uint32_t> &flipped)
 {
     uint32_t bit = uint32_t{1} << l;
-    uint16_t ebit = (uint16_t)(1u << l);
     // The caller just grew the region into errs_; take it over wholesale.
     laneCols_[l].swap(errs_);
     laneFlipped_[l].assign(flipped.begin(), flipped.end());
-    if (laneCols_[l].size() == tanner_->colDets.size()) {
-        // Saturated region: the lane's bit planes cover every edge and
-        // column, and every detector with an incident error — exactly
-        // the marks the per-column walk would set, written as
-        // vectorizable full-array sweeps instead of per-edge bit ops.
-        for (std::size_t e = 0; e < laneEdgeActive_.size(); ++e) {
-            laneEdgeActive_[e] |= ebit;
-        }
-        for (std::size_t c = 0; c < colLaneMask_.size(); ++c) {
-            colLaneMask_[c] |= bit;
-        }
-        for (std::size_t d = 0; d < numDetectors_; ++d) {
-            if (tanner_->detBegin[d + 1] != tanner_->detBegin[d]) {
-                detLaneMask_[d] |= bit;
-            }
-        }
-    } else {
-        for (uint32_t c : laneCols_[l]) {
-            colLaneMask_[c] |= bit;
-            for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-                laneEdgeActive_[e] |= ebit;
-                detLaneMask_[tanner_->colDet[e]] |= bit;
-            }
-        }
+    for (uint32_t c : laneCols_[l]) {
+        colLaneMask_[c] |= bit;
+    }
+    // Every detector adjacent to a region column: the detector pass must
+    // write each region edge's reply before the column pass reads it.
+    // growRegion's detector set is exactly that set here — the routing
+    // in decodePacked admits no radius-0 region and no seed without an
+    // incident column.
+    for (uint32_t d : touchedDets_) {
+        detLaneMask_[d] |= bit;
     }
     for (uint32_t d : laneFlipped_[l]) {
         laneSynB_[(std::size_t)d * kW + l] = 1;
@@ -777,7 +758,6 @@ void
 BpOsdDecoder::laneRetire(std::size_t l, bool converged, uint64_t *obs_out)
 {
     uint32_t bit = uint32_t{1} << l;
-    uint16_t ebit = (uint16_t)(1u << l);
     if (converged) {
         uint64_t result = 0;
         for (uint32_t c : laneCols_[l]) {
@@ -797,10 +777,7 @@ BpOsdDecoder::laneRetire(std::size_t l, bool converged, uint64_t *obs_out)
     // full-array sweeps: lane l's bits are only set inside its region, so
     // clearing them everywhere is the same as walking the region, and the
     // sweeps vectorize. The message array itself is NOT touched —
-    // clearing the active bits is what retires its slots.
-    for (std::size_t e = 0; e < laneEdgeActive_.size(); ++e) {
-        laneEdgeActive_[e] &= (uint16_t)~ebit;
-    }
+    // clearing the column bits is what retires its slots.
     for (std::size_t c = 0; c < colLaneMask_.size(); ++c) {
         colLaneMask_[c] &= ~bit;
         laneHardBits_[c] &= ~bit;
@@ -835,12 +812,11 @@ BpOsdDecoder::laneIterate(int simd_level)
     cx.colDet = tanner_->colDet.data();
     cx.detBegin = tanner_->detBegin.data();
     cx.detEdges = tanner_->detEdges.data();
+    cx.detCol = tanner_->detCol.data();
     cx.prior = tanner_->prior.data();
-    cx.edgePrior = edgePrior_.data();
     cx.msg = laneMsg_.data();
     cx.stage = laneStage_.data();
     cx.post = lanePost_.data();
-    cx.edgeActive = laneEdgeActive_.data();
     cx.synSign = laneSynSign_.data();
     cx.synB = laneSynB_.data();
     cx.acc = laneAcc_.data();

@@ -22,22 +22,38 @@
 namespace prophunt::sim::detail {
 
 /**
- * Invoke emit(shot) for every shot in [0, shots) where @p mech fires.
+ * The std::invalid_argument message for mechanism @p index of a DEM whose
+ * probability @p p lies outside [0, 1) (NaN included), tagged with
+ * @p where.
+ */
+inline std::string
+badProbabilityMessage(const char *where, std::size_t index, double p)
+{
+    return std::string(where) + ": mechanism " + std::to_string(index) +
+           " has p = " + std::to_string(p) + ", outside [0, 1)";
+}
+
+/**
+ * Invoke emit(shot) for every shot in [0, shots) where @p mech, mechanism
+ * @p index of its DEM, fires.
  *
  * Shots are emitted in ascending order. Throws std::invalid_argument
- * (tagged with @p where) for p >= 1; p <= 0 mechanisms emit nothing and
+ * (tagged with @p where and naming @p index) unless 0 <= p < 1, so NaN
+ * never reaches the skip arithmetic; p == 0 mechanisms emit nothing and
  * consume no randomness.
  */
 template <typename Emit>
 inline void
-forEachMechanismEvent(const ErrorMechanism &mech, std::size_t shots,
-                      Rng &rng, const char *where, Emit emit)
+forEachMechanismEvent(const ErrorMechanism &mech, std::size_t index,
+                      std::size_t shots, Rng &rng, const char *where,
+                      Emit emit)
 {
-    if (mech.p <= 0.0) {
-        return;
+    if (!(mech.p >= 0.0 && mech.p < 1.0)) {
+        throw std::invalid_argument(
+            badProbabilityMessage(where, index, mech.p));
     }
-    if (mech.p >= 1.0) {
-        throw std::invalid_argument(std::string(where) + ": p >= 1");
+    if (mech.p == 0.0) {
+        return;
     }
     double log1mp = std::log1p(-mech.p);
     double u = rng.uniform();

@@ -20,7 +20,8 @@ sampleDemFramesInto(const Dem &dem, std::size_t shots, uint64_t seed,
     out.obs.assign(out.numObservables * out.shotWords, 0);
 
     Rng rng(seed);
-    for (const ErrorMechanism &mech : dem.errors) {
+    for (std::size_t m = 0; m < dem.errors.size(); ++m) {
+        const ErrorMechanism &mech = dem.errors[m];
         // Accumulate the mask of firing shots within one 64-shot window,
         // then XOR the window into the signature rows a word at a time.
         std::size_t word = 0;
@@ -38,7 +39,7 @@ sampleDemFramesInto(const Dem &dem, std::size_t shots, uint64_t seed,
             mask = 0;
         };
         detail::forEachMechanismEvent(
-            mech, shots, rng, "sampleDemFrames", [&](std::size_t shot) {
+            mech, m, shots, rng, "sampleDemFrames", [&](std::size_t shot) {
                 std::size_t w = shot >> 6;
                 if (w != word) {
                     flush();

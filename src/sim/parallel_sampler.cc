@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/event_stream.h"
 #include "sim/frame_sampler.h"
 
 namespace prophunt::sim {
@@ -206,9 +207,11 @@ parallelFor(std::size_t n, std::size_t threads,
 void
 validateDemProbabilities(const Dem &dem, const char *where)
 {
-    for (const ErrorMechanism &mech : dem.errors) {
-        if (mech.p >= 1.0) {
-            throw std::invalid_argument(std::string(where) + ": p >= 1");
+    for (std::size_t m = 0; m < dem.errors.size(); ++m) {
+        double p = dem.errors[m].p;
+        if (!(p >= 0.0 && p < 1.0)) {
+            throw std::invalid_argument(
+                detail::badProbabilityMessage(where, m, p));
         }
     }
 }

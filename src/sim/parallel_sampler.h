@@ -136,7 +136,8 @@ class WorkerPool
 };
 
 /**
- * Throw std::invalid_argument if any mechanism has p >= 1.
+ * Throw std::invalid_argument, naming the first offending mechanism, if
+ * any mechanism's p lies outside [0, 1) or is NaN.
  *
  * Callers that sample on pool threads must validate before spawning: a
  * throw inside a worker would terminate the process.

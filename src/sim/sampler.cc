@@ -43,9 +43,10 @@ sampleDemInto(const Dem &dem, std::size_t shots, uint64_t seed,
               uint64_t *obs)
 {
     Rng rng(seed);
-    for (const ErrorMechanism &mech : dem.errors) {
+    for (std::size_t m = 0; m < dem.errors.size(); ++m) {
+        const ErrorMechanism &mech = dem.errors[m];
         detail::forEachMechanismEvent(
-            mech, shots, rng, "sampleDem", [&](std::size_t shot) {
+            mech, m, shots, rng, "sampleDem", [&](std::size_t shot) {
                 uint64_t *drow = det + shot * det_words;
                 for (uint32_t d : mech.detectors) {
                     drow[d >> 6] ^= uint64_t{1} << (d & 63);

@@ -9,16 +9,20 @@
  * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
  * final 64-shot word. Also pins down the engine's shot-order/thread-count
  * invariance through measureDemLer and the AVX-512 / AVX2 / generic
- * kernel cross-check.
+ * kernel cross-check, including partial regions at small radii grown by
+ * both the reach bitmaps and the BFS.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "circuit/coloration.h"
+#include "circuit/surface_schedules.h"
 #include "code/codes.h"
 #include "code/surface.h"
 #include "decoder/bp_osd.h"
@@ -68,6 +72,49 @@ randomDem(uint64_t seed, std::size_t nd, std::size_t ne, double max_p)
     return dem;
 }
 
+/**
+ * A @p width x @p rounds detector grid with one mechanism per horizontal
+ * and per vertical grid edge plus one boundary mechanism at each end of
+ * every row (a phenomenological repetition code; the square cycles make
+ * BP loopy). Every mechanism flips a pseudo-random subset of 64
+ * observables, so the observable mask fingerprints the whole correction:
+ * two decoders that pick different corrections disagree on it almost
+ * surely, not only when they differ by a logical operator.
+ */
+Dem
+gridDem(uint32_t width, uint32_t rounds, double p, uint64_t seed)
+{
+    Rng rng(seed);
+    Dem dem;
+    dem.numDetectors = (std::size_t)width * rounds;
+    dem.numObservables = 64;
+    auto add = [&](std::vector<uint32_t> dets) {
+        ErrorMechanism mech;
+        mech.p = p;
+        mech.detectors = std::move(dets);
+        for (uint32_t o = 0; o < 64; ++o) {
+            if (rng.below(2) != 0) {
+                mech.observables.push_back(o);
+            }
+        }
+        dem.errors.push_back(std::move(mech));
+    };
+    for (uint32_t t = 0; t < rounds; ++t) {
+        uint32_t row = t * width;
+        add({row});
+        for (uint32_t i = 0; i + 1 < width; ++i) {
+            add({row + i, row + i + 1});
+        }
+        add({row + width - 1});
+        if (t + 1 < rounds) {
+            for (uint32_t i = 0; i < width; ++i) {
+                add({row + i, row + width + i});
+            }
+        }
+    }
+    return dem;
+}
+
 Dem
 circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
 {
@@ -76,6 +123,47 @@ circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
                                             rounds, circuit::MemoryBasis::Z);
     return buildDem(circ, NoiseModel::uniform(p));
 }
+
+/**
+ * Sets the environment variable @p name to "1" for its lifetime and then
+ * restores the prior value: the CI matrix legs set the kernel-tier
+ * variables job-wide, and later tests in this binary must keep running
+ * the tier that leg selected.
+ */
+class ScopedEnvFlag
+{
+  public:
+    explicit ScopedEnvFlag(const char *name) : name_(name)
+    {
+        const char *prev = getenv(name);
+        hadValue_ = prev != nullptr;
+        saved_ = hadValue_ ? prev : "";
+        setenv(name, "1", 1);
+    }
+
+    ~ScopedEnvFlag()
+    {
+        if (hadValue_) {
+            setenv(name_, saved_.c_str(), 1);
+        } else {
+            unsetenv(name_);
+        }
+    }
+
+    ScopedEnvFlag(const ScopedEnvFlag &) = delete;
+    ScopedEnvFlag &operator=(const ScopedEnvFlag &) = delete;
+
+  private:
+    const char *name_;
+    bool hadValue_;
+    std::string saved_;
+};
+
+/** The variable that steps the lane kernels down to each tier (nullptr:
+ * the native tier). PROPHUNT_NO_AVX512 selects AVX2, PROPHUNT_NO_AVX2 the
+ * generic lanes. */
+constexpr const char *kTierFlags[] = {nullptr, "PROPHUNT_NO_AVX512",
+                                      "PROPHUNT_NO_AVX2"};
 
 /**
  * decodePacked == decodeBatch == decode under @p opts, and decodePacked
@@ -222,31 +310,74 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
     std::vector<uint64_t> vec(frames.shots), avx2(frames.shots),
         gen(frames.shots);
     dec.decodePacked(frames.view(), vec.data());
-    // Restore the prior values afterwards — the CI scalar matrix leg
-    // sets PROPHUNT_NO_AVX2 job-wide, and later tests in this binary
-    // must keep running the tier that leg selected.
-    const char *prevNo512 = getenv("PROPHUNT_NO_AVX512");
-    std::string savedNo512 = prevNo512 ? prevNo512 : "";
-    const char *prevNoAvx2 = getenv("PROPHUNT_NO_AVX2");
-    std::string savedNoAvx2 = prevNoAvx2 ? prevNoAvx2 : "";
-    setenv("PROPHUNT_NO_AVX512", "1", 1);
-    decoder::BpOsdDecoder dec3(dem, opts);
-    dec3.decodePacked(frames.view(), avx2.data());
-    if (prevNo512 != nullptr) {
-        setenv("PROPHUNT_NO_AVX512", savedNo512.c_str(), 1);
-    } else {
-        unsetenv("PROPHUNT_NO_AVX512");
+    {
+        ScopedEnvFlag tier("PROPHUNT_NO_AVX512");
+        decoder::BpOsdDecoder dec3(dem, opts);
+        dec3.decodePacked(frames.view(), avx2.data());
     }
-    setenv("PROPHUNT_NO_AVX2", "1", 1);
-    decoder::BpOsdDecoder dec2(dem, opts);
-    dec2.decodePacked(frames.view(), gen.data());
-    if (prevNoAvx2 != nullptr) {
-        setenv("PROPHUNT_NO_AVX2", savedNoAvx2.c_str(), 1);
-    } else {
-        unsetenv("PROPHUNT_NO_AVX2");
+    {
+        ScopedEnvFlag tier("PROPHUNT_NO_AVX2");
+        decoder::BpOsdDecoder dec2(dem, opts);
+        dec2.decodePacked(frames.view(), gen.data());
     }
     EXPECT_EQ(vec, avx2);
     EXPECT_EQ(vec, gen);
+}
+
+TEST(LaneDecode, PartialRegionsMatchScalarAcrossRadii)
+{
+    // Small radii keep regions partial, so neighbouring lanes hold
+    // different column and detector sets: the lane membership read from
+    // the per-column masks and the region detectors that region growth
+    // hands the install must reproduce per-shot decode() shot for shot,
+    // in every kernel tier. The surface and lp39 DEMs take their regions
+    // from the reach bitmaps; the grid DEM (16384 detectors, 32768
+    // columns) exceeds the reach-bitmap size cap, so its regions come
+    // from the BFS.
+    code::SurfaceCode surface(5);
+    std::vector<std::pair<std::string, Dem>> dems;
+    for (bool nz : {false, true}) {
+        auto circ = circuit::buildMemoryCircuit(
+            nz ? circuit::nzSchedule(surface)
+               : circuit::poorSurfaceSchedule(surface),
+            5, circuit::MemoryBasis::Z);
+        dems.emplace_back(nz ? "surface5 nz" : "surface5 poor",
+                          buildDem(circ, NoiseModel::uniform(4e-3)));
+    }
+    dems.emplace_back("lp39", circuitDem(code::benchmarkLp39, 3, 2e-3));
+    dems.emplace_back("grid 128x128", gridDem(128, 128, 4e-3, 8));
+    for (std::size_t k = 0; k < dems.size(); ++k) {
+        const Dem &dem = dems[k].second;
+        FrameBatch frames = sampleDemFrames(dem, 203, 41 + k);
+        SampleBatch rows;
+        transposeFrames(frames, rows);
+        for (std::size_t radius : {1u, 2u, 3u}) {
+            decoder::BpOsdOptions opts;
+            opts.regionRadius = radius;
+            decoder::BpOsdDecoder scalar(dem, opts);
+            std::vector<uint64_t> expected(frames.shots);
+            std::vector<uint32_t> flipped;
+            for (std::size_t s = 0; s < frames.shots; ++s) {
+                rows.flippedDetectors(s, flipped);
+                expected[s] = scalar.decode(flipped);
+            }
+            for (const char *flag : kTierFlags) {
+                std::optional<ScopedEnvFlag> tier;
+                if (flag != nullptr) {
+                    tier.emplace(flag);
+                }
+                decoder::BpOsdDecoder dec(dem, opts);
+                std::vector<uint64_t> lane(frames.shots, ~uint64_t{0});
+                dec.decodePacked(frames.view(), lane.data());
+                for (std::size_t s = 0; s < frames.shots; ++s) {
+                    EXPECT_EQ(lane[s], expected[s])
+                        << dems[k].first << " radius " << radius << " tier "
+                        << (flag != nullptr ? flag : "native") << " shot "
+                        << s;
+                }
+            }
+        }
+    }
 }
 
 TEST(LaneDecode, DefaultAdapterServesRowDecoders)

@@ -9,17 +9,27 @@
  *    the tableau simulator must reproduce the per-detector flip rates of
  *    the DEM sampler — the DEM is a faithful compression of the noisy
  *    circuit, not just an abstraction.
+ * 3. Admission: a DEM whose mechanism probability is NaN or outside
+ *    [0, 1) is rejected by the samplers and the decode service, with
+ *    the offending mechanism named, before any shot is drawn.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
+#include "api/decode_service.h"
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
 #include "code/surface.h"
+#include "decoder/bp_osd.h"
 #include "sim/dem_builder.h"
+#include "sim/frame_sampler.h"
+#include "sim/parallel_sampler.h"
 #include "sim/sampler.h"
 #include "sim/tableau.h"
 
@@ -93,6 +103,37 @@ runWithFaults(const circuit::SmCircuit &circ, Rng &rng,
         }
     }
     return meas;
+}
+
+/** Two single-detector mechanisms with probabilities @p p0 and @p p1. */
+Dem
+twoMechanismDem(double p0, double p1)
+{
+    Dem dem;
+    dem.numDetectors = 2;
+    dem.numObservables = 1;
+    for (uint32_t d : {0u, 1u}) {
+        ErrorMechanism mech;
+        mech.p = d == 0 ? p0 : p1;
+        mech.detectors = {d};
+        mech.observables = {0};
+        dem.errors.push_back(mech);
+    }
+    return dem;
+}
+
+/** The std::invalid_argument message of @p fn, or "" if it does not
+ * throw one. */
+template <typename Fn>
+std::string
+invalidArgumentOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
 }
 
 } // namespace
@@ -216,4 +257,57 @@ TEST(NoiseValidation, NoisyTableauMatchesDemSamplerStatistics)
 
     EXPECT_NEAR(circ_flips, dem_flips, 0.08 * dem_flips + 0.05);
     EXPECT_NEAR(circ_obs, dem_obs, 0.25 * std::max(dem_obs, 0.05));
+}
+
+TEST(NoiseValidation, RejectsProbabilitiesOutsideUnitInterval)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // (p0, p1, index of the first bad mechanism): NaN, negative, and the
+    // p = 1 boundary are all rejected, naming the mechanism.
+    struct Case
+    {
+        double p0, p1;
+        const char *bad;
+    };
+    for (const Case &c : {Case{nan, -0.2, "mechanism 0"},
+                          Case{1e-3, -0.2, "mechanism 1"},
+                          Case{1.0, 1e-3, "mechanism 0"},
+                          Case{1e-3, nan, "mechanism 1"}}) {
+        Dem dem = twoMechanismDem(c.p0, c.p1);
+        SCOPED_TRACE(std::to_string(c.p0) + ", " + std::to_string(c.p1));
+
+        std::string msg = invalidArgumentOf(
+            [&] { validateDemProbabilities(dem, "test"); });
+        EXPECT_NE(msg.find(c.bad), std::string::npos) << msg;
+
+        msg = invalidArgumentOf([&] { sampleDemFrames(dem, 256, 3); });
+        EXPECT_NE(msg.find("sampleDemFrames"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(c.bad), std::string::npos) << msg;
+
+        msg = invalidArgumentOf([&] { sampleDem(dem, 256, 3); });
+        EXPECT_NE(msg.find(c.bad), std::string::npos) << msg;
+
+        // The service rejects the job in the caller, before any shard
+        // reaches a pool thread.
+        Dem good = twoMechanismDem(1e-3, 1e-3);
+        auto proto = std::make_shared<decoder::BpOsdDecoder>(good);
+        api::DecodeService service;
+        api::DecodeJob job;
+        job.key = "bad-p";
+        job.dem = &dem;
+        job.prototype = proto.get();
+        job.keepAlive = proto;
+        job.shots = 256;
+        msg = invalidArgumentOf([&] { service.measure(job); });
+        EXPECT_NE(msg.find("DecodeService::measure"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(c.bad), std::string::npos) << msg;
+    }
+
+    // The closed lower end stays valid: p = 0 never fires.
+    Dem zero = twoMechanismDem(0.0, 0.0);
+    FrameBatch frames = sampleDemFrames(zero, 256, 3);
+    for (uint64_t w : frames.det) {
+        EXPECT_EQ(w, 0u);
+    }
 }
