@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "sim/parallel_sampler.h"
+
 namespace prophunt::decoder {
 
 namespace {
@@ -81,6 +83,10 @@ unionOfRows(const DenseBitMat &m, const std::vector<uint32_t> &rows,
 std::shared_ptr<const BpOsdDecoder::Tanner>
 BpOsdDecoder::buildTanner(const sim::Dem &dem)
 {
+    // A NaN or out-of-range p would become a NaN or silently clamped
+    // prior; reject it like the samplers do. p = 0 stays valid and is
+    // clamped to a finite prior below.
+    sim::validateDemProbabilities(dem, "BpOsdDecoder");
     auto t = std::make_shared<Tanner>();
     std::size_t numDetectors = dem.numDetectors;
     t->colDets.reserve(dem.errors.size());

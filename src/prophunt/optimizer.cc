@@ -190,9 +190,9 @@ PropHunt::optimize(const circuit::SmSchedule &start,
         std::vector<std::optional<VerifiedChange>> taskResults(
             tasks.size());
         if (opts_.verifyAmbiguityRemoval) {
-            // A candidate model (validity, circuit, DEM) depends only on
-            // the basis and the change, and subgraphs often propose the
-            // same change. Group tasks by (basis, change key), build each
+            // A candidate model (validity, circuit, fault table) depends
+            // only on the basis and the change, and subgraphs often propose
+            // the same change. Group tasks by (basis, change key), build each
             // group's model once in parallel, and run its tasks' cheap
             // per-subgraph checks against it on the same worker.
             std::vector<std::vector<std::size_t>> groups;

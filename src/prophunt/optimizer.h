@@ -111,9 +111,9 @@ struct IterationRecord
     std::size_t ambiguousFound = 0;
     std::size_t candidatesEnumerated = 0;
     /**
-     * Candidate models (circuit + DEM) built for verification: one per
-     * distinct valid (basis, change) pair, so at most candidatesEnumerated.
-     * Zero when verifyAmbiguityRemoval is off.
+     * Candidate models (circuit + fault table) built for verification:
+     * one per distinct valid (basis, change) pair, so at most
+     * candidatesEnumerated. Zero when verifyAmbiguityRemoval is off.
      */
     std::size_t candidateModels = 0;
     std::size_t changesVerified = 0;

@@ -3,13 +3,20 @@
  * sim::buildDem against the reference builder in
  * tests/support/dem_builder_reference.h: every mechanism must match field
  * for field (bitwise p, detectors, observables, and sources in order) on
- * surface, LDPC and flagged circuits under several noise models.
+ * surface, LDPC and flagged circuits under several noise models. And
+ * sim::buildFaultTable against the DEM merged from it: every fault with a
+ * non-empty signature is a source of exactly one mechanism, which flips
+ * exactly the fault's detectors and observables, and no fault with an
+ * empty signature is a source at all.
  */
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "circuit/coloration.h"
 #include "circuit/flags.h"
@@ -65,6 +72,85 @@ expectMatchesReference(const SmCircuit &circ, const NoiseModel &noise)
                             where + " source " + std::to_string(s));
         }
     }
+}
+
+/** The detectors and observables a fault-table signature flips. */
+std::pair<std::vector<uint32_t>, std::vector<uint32_t>>
+decodeSignature(const sim::FaultTable &table, std::size_t f)
+{
+    std::pair<std::vector<uint32_t>, std::vector<uint32_t>> out;
+    const uint64_t *sig = table.signature(f);
+    for (std::size_t t = 0; t < table.numDetectors + table.numObservables;
+         ++t) {
+        if ((sig[t >> 6] >> (t & 63)) & 1) {
+            if (t < table.numDetectors) {
+                out.first.push_back((uint32_t)t);
+            } else {
+                out.second.push_back((uint32_t)(t - table.numDetectors));
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * Every fault of buildFaultTable(circ, noise) with a non-empty signature
+ * is a source of exactly one mechanism of buildDem(circ, noise), with the
+ * fault's detectors and observables; faults with an empty signature are
+ * sources of none. Gate faults are told apart by (instr, p0, p1), so
+ * @p noise must have no idle term.
+ */
+void
+expectTableMatchesMerge(const SmCircuit &circ, const NoiseModel &noise)
+{
+    ASSERT_EQ(noise.pIdle, 0.0);
+    const sim::FaultTable table = sim::buildFaultTable(circ, noise);
+    const sim::Dem dem = sim::buildDem(circ, noise);
+    ASSERT_EQ(table.numDetectors, dem.numDetectors);
+    ASSERT_EQ(table.numObservables, dem.numObservables);
+    ASSERT_EQ(table.p.size(), table.faults.size());
+    ASSERT_EQ(table.sigs.size(), table.faults.size() * table.sigWords);
+
+    using Key = std::tuple<std::size_t, sim::Pauli, sim::Pauli>;
+    // location() expands a fault to the FaultLoc the merge lists.
+    for (std::size_t f = 0; f < table.faults.size(); ++f) {
+        const sim::FaultLoc loc = table.location(f, circ);
+        ASSERT_EQ(loc.instr, table.faults[f].instr);
+        ASSERT_EQ(loc.isCnot, table.faults[f].isCnot);
+        ASSERT_EQ(loc.isCnot,
+                  circ.instructions[loc.instr].op == circuit::OpType::Cnot);
+    }
+    std::map<Key, std::size_t> fault_of;
+    for (std::size_t f = 0; f < table.faults.size(); ++f) {
+        const sim::FaultTable::Fault &loc = table.faults[f];
+        ASSERT_TRUE(fault_of.emplace(Key{loc.instr, loc.p0, loc.p1}, f).second)
+            << "fault " << f << " is not unique";
+    }
+    std::vector<std::size_t> uses(table.faults.size(), 0);
+    for (std::size_t m = 0; m < dem.errors.size(); ++m) {
+        const sim::ErrorMechanism &mech = dem.errors[m];
+        for (const sim::FaultLoc &loc : mech.sources) {
+            auto it = fault_of.find(Key{loc.instr, loc.p0, loc.p1});
+            ASSERT_NE(it, fault_of.end()) << "mechanism " << m;
+            ++uses[it->second];
+            auto [dets, obs] = decodeSignature(table, it->second);
+            ASSERT_EQ(dets, mech.detectors) << "mechanism " << m;
+            ASSERT_EQ(obs, mech.observables) << "mechanism " << m;
+        }
+    }
+    std::size_t empty = 0;
+    for (std::size_t f = 0; f < table.faults.size(); ++f) {
+        auto [dets, obs] = decodeSignature(table, f);
+        if (dets.empty() && obs.empty()) {
+            ++empty;
+            EXPECT_EQ(uses[f], 0u) << "empty-signature fault " << f;
+        } else {
+            EXPECT_EQ(uses[f], 1u) << "fault " << f;
+        }
+    }
+    // Some faults are invisible (e.g. a Z before a Z measurement), so
+    // both branches are exercised.
+    EXPECT_GT(empty, 0u);
 }
 
 SmCircuit
@@ -148,4 +234,32 @@ TEST(DemBuilderOracle, NoiseModels)
         }
         expectMatchesReference(coloration(lp39, 3, MemoryBasis::Z), noise);
     }
+}
+
+TEST(FaultTable, SurfaceFaultsMatchMergedMechanisms)
+{
+    const NoiseModel noise = NoiseModel::uniform(1e-3);
+    for (std::size_t d : {3, 5}) {
+        code::SurfaceCode s(d);
+        for (const circuit::SmSchedule &sched :
+             {circuit::nzSchedule(s), circuit::poorSurfaceSchedule(s)}) {
+            for (MemoryBasis basis : {MemoryBasis::Z, MemoryBasis::X}) {
+                SCOPED_TRACE("d=" + std::to_string(d) + " basis " +
+                             (basis == MemoryBasis::Z ? "Z" : "X"));
+                expectTableMatchesMerge(
+                    circuit::buildMemoryCircuit(sched, d, basis), noise);
+            }
+        }
+    }
+}
+
+TEST(FaultTable, Lp39AndRqt54FaultsMatchMergedMechanisms)
+{
+    const NoiseModel noise = NoiseModel::uniform(1e-3);
+    const code::CssCode lp39 = code::benchmarkLp39();
+    for (MemoryBasis basis : {MemoryBasis::Z, MemoryBasis::X}) {
+        expectTableMatchesMerge(coloration(lp39, 3, basis), noise);
+    }
+    expectTableMatchesMerge(
+        coloration(code::benchmarkRqt54(), 4, MemoryBasis::Z), noise);
 }

@@ -10,8 +10,9 @@
  *    the DEM sampler — the DEM is a faithful compression of the noisy
  *    circuit, not just an abstraction.
  * 3. Admission: a DEM whose mechanism probability is NaN or outside
- *    [0, 1) is rejected by the samplers and the decode service, with
- *    the offending mechanism named, before any shot is drawn.
+ *    [0, 1) is rejected by the samplers, the decode service and the
+ *    BP+OSD decoder's construction, with the offending mechanism named,
+ *    before any shot is drawn or decoded.
  */
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "circuit/surface_schedules.h"
 #include "code/surface.h"
 #include "decoder/bp_osd.h"
+#include "decoder/registry.h"
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/parallel_sampler.h"
@@ -302,12 +304,28 @@ TEST(NoiseValidation, RejectsProbabilitiesOutsideUnitInterval)
         EXPECT_NE(msg.find("DecodeService::measure"), std::string::npos)
             << msg;
         EXPECT_NE(msg.find(c.bad), std::string::npos) << msg;
+
+        // BP+OSD priors are log((1 - p) / p): the decoder refuses the DEM
+        // instead of building a NaN or clamped prior.
+        msg = invalidArgumentOf([&] { decoder::BpOsdDecoder dec(dem); });
+        EXPECT_NE(msg.find("BpOsdDecoder"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(c.bad), std::string::npos) << msg;
+        msg = invalidArgumentOf([&] {
+            decoder::Registry::make({"bp_osd"}, dem, circuit::SmCircuit{});
+        });
+        EXPECT_NE(msg.find("BpOsdDecoder"), std::string::npos) << msg;
+        EXPECT_NE(msg.find(c.bad), std::string::npos) << msg;
     }
 
-    // The closed lower end stays valid: p = 0 never fires.
+    // The closed lower end stays valid: p = 0 never fires, and the
+    // decoder builds a finite prior for it.
     Dem zero = twoMechanismDem(0.0, 0.0);
     FrameBatch frames = sampleDemFrames(zero, 256, 3);
     for (uint64_t w : frames.det) {
         EXPECT_EQ(w, 0u);
     }
+    decoder::BpOsdDecoder dec(zero);
+    EXPECT_EQ(dec.decode({0}), 1u); // only mechanism 0 explains it
+    EXPECT_NO_THROW(
+        decoder::Registry::make({"bp_osd"}, zero, circuit::SmCircuit{}));
 }

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "code/surface.h"
 #include "prophunt/optimizer.h"
 #include "sim/dem_builder.h"
+#include "support/removes_ambiguity_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::core;
@@ -310,26 +313,40 @@ TEST(Optimizer, ConvergesOnAlreadyGoodSchedule)
 
 namespace {
 
-/**
- * Serial replay of one optimizer iteration from its snapshot: the same
- * subgraph seeds and RNG stream as PropHunt::optimize, every enumerated
- * candidate verified on its own through verifyChange. Returns the
- * (candidates, verified) counts.
- */
-std::pair<std::size_t, std::size_t>
-replayIteration(const circuit::SmSchedule &current, std::size_t rounds,
-                std::size_t iter, const PropHuntOptions &opts, sim::Rng &rng)
+/** The verification tasks of one replayed optimizer iteration. */
+struct Replay
 {
-    const sim::NoiseModel noise = sim::NoiseModel::uniform(opts.p);
     struct Basis
     {
         circuit::MemoryBasis basis;
         Harness h;
         std::vector<Subgraph> subgraphs;
     };
+    /** One enumerated (subgraph, candidate) pair. */
+    struct Task
+    {
+        std::size_t basis;
+        std::size_t subgraph;
+        MinWeightResult mw;
+        CircuitChange change;
+    };
     std::vector<Basis> work;
+    /** In the optimizer's task order. */
+    std::vector<Task> tasks;
+};
+
+/**
+ * Serial replay of one optimizer iteration from its snapshot: the same
+ * subgraph seeds and RNG stream as PropHunt::optimize, up to candidate
+ * enumeration.
+ */
+Replay
+replayCandidates(const circuit::SmSchedule &current, std::size_t rounds,
+                 std::size_t iter, const PropHuntOptions &opts, sim::Rng &rng)
+{
+    Replay out;
     for (auto basis : {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
-        Basis w{basis, build(current, rounds, opts.p, basis), {}};
+        Replay::Basis w{basis, build(current, rounds, opts.p, basis), {}};
         const uint64_t seed =
             opts.seed ^ (iter * 2654435761u) ^
             (basis == circuit::MemoryBasis::X ? 0xabcdu : 0);
@@ -347,29 +364,130 @@ replayIteration(const circuit::SmSchedule &current, std::size_t rounds,
                 w.subgraphs.push_back(std::move(sg));
             }
         }
-        work.push_back(std::move(w));
+        out.work.push_back(std::move(w));
     }
-    std::size_t candidates = 0, verified = 0;
-    for (const Basis &w : work) {
-        for (const Subgraph &sg : w.subgraphs) {
+    for (std::size_t b = 0; b < out.work.size(); ++b) {
+        const Replay::Basis &w = out.work[b];
+        for (std::size_t g = 0; g < w.subgraphs.size(); ++g) {
             MinWeightResult mw = solveMinWeightLogical(
-                w.h.dem, sg, opts.maxCost, opts.satTimeoutSeconds);
+                w.h.dem, w.subgraphs[g], opts.maxCost,
+                opts.satTimeoutSeconds);
             if (!mw.found || mw.weight == 0) {
                 continue;
             }
-            auto changes = enumerateChanges(current, w.h.dem, w.h.circ,
-                                            mw.errors, rng);
-            candidates += changes.size();
-            for (const CircuitChange &ch : changes) {
-                verified += verifyChange(current, ch, sg.detectors,
-                                         mw.errors, w.h.dem, rounds,
-                                         w.basis, noise)
-                                ? 1
-                                : 0;
+            for (CircuitChange &ch : enumerateChanges(
+                     current, w.h.dem, w.h.circ, mw.errors, rng)) {
+                out.tasks.push_back({b, g, mw, std::move(ch)});
             }
         }
     }
-    return {candidates, verified};
+    return out;
+}
+
+/**
+ * Replay one iteration with every enumerated candidate verified on its own
+ * through verifyChange. Returns the (candidates, verified) counts.
+ */
+std::pair<std::size_t, std::size_t>
+replayIteration(const circuit::SmSchedule &current, std::size_t rounds,
+                std::size_t iter, const PropHuntOptions &opts, sim::Rng &rng)
+{
+    const sim::NoiseModel noise = sim::NoiseModel::uniform(opts.p);
+    Replay replay = replayCandidates(current, rounds, iter, opts, rng);
+    std::size_t verified = 0;
+    for (const Replay::Task &t : replay.tasks) {
+        const Replay::Basis &w = replay.work[t.basis];
+        verified += verifyChange(current, t.change,
+                                 w.subgraphs[t.subgraph].detectors,
+                                 t.mw.errors, w.h.dem, rounds, w.basis, noise)
+                        ? 1
+                        : 0;
+    }
+    return {replay.tasks.size(), verified};
+}
+
+/**
+ * Replay every iteration of @p res and check each enumerated (subgraph,
+ * candidate) pair with a valid candidate: removesAmbiguity on the
+ * candidate's fault table must return the verdict of the DEM-based
+ * reference on sim::buildDem(candidate circuit). Both verdicts must occur.
+ *
+ * These circuits have circuit distance at least 2, so no fault flips an
+ * observable without flipping a detector. Each pair is therefore checked
+ * a second time with one such observable-only fault appended to the fault
+ * table and the matching mechanism appended to the reference DEM, which
+ * must count as interior in both.
+ */
+void
+expectVerdictsMatchReference(const OptimizeResult &res, std::size_t rounds,
+                             const PropHuntOptions &opts)
+{
+    const sim::NoiseModel noise = sim::NoiseModel::uniform(opts.p);
+    sim::Rng rng(opts.seed);
+    std::size_t checked = 0, removed = 0;
+    for (std::size_t iter = 0; iter < res.history.size(); ++iter) {
+        const circuit::SmSchedule &current = res.snapshots[iter];
+        Replay replay = replayCandidates(current, rounds, iter, opts, rng);
+        EXPECT_EQ(res.history[iter].candidatesEnumerated,
+                  replay.tasks.size())
+            << "iteration " << iter;
+
+        // Tasks grouped by (basis, change) as in the optimizer: one model
+        // per group, released before the next group is built.
+        std::map<std::pair<std::size_t, std::string>,
+                 std::vector<std::size_t>>
+            groups;
+        for (std::size_t i = 0; i < replay.tasks.size(); ++i) {
+            const Replay::Task &t = replay.tasks[i];
+            groups[{t.basis, t.change.key()}].push_back(i);
+        }
+        for (const auto &[group, members] : groups) {
+            const Replay::Basis &w = replay.work[group.first];
+            std::optional<CandidateModel> model = buildCandidateModel(
+                current, replay.tasks[members.front()].change, rounds,
+                w.basis, noise);
+            if (!model) {
+                continue;
+            }
+            sim::Dem dem = sim::buildDem(
+                circuit::buildMemoryCircuit(model->schedule, rounds,
+                                            w.basis),
+                noise);
+            CandidateModel observable_only = *model;
+            sim::FaultTable &table = observable_only.faults;
+            table.faults.emplace_back();
+            table.p.push_back(opts.p);
+            table.sigs.resize(table.sigs.size() + table.sigWords, 0);
+            const std::size_t t = table.numDetectors;
+            table.sigs[table.sigs.size() - table.sigWords + (t >> 6)] |=
+                uint64_t{1} << (t & 63);
+            sim::Dem observable_only_dem = dem;
+            observable_only_dem.errors.push_back(
+                {opts.p, {}, {0}, {sim::FaultLoc{}}});
+
+            for (std::size_t i : members) {
+                const Replay::Task &task = replay.tasks[i];
+                const Subgraph &sg = w.subgraphs[task.subgraph];
+                bool got = removesAmbiguity(*model, sg.detectors,
+                                            task.mw.errors, w.h.dem);
+                EXPECT_EQ(got, testsupport::referenceRemovesAmbiguity(
+                                   dem, sg.detectors, task.mw.errors,
+                                   w.h.dem))
+                    << "iteration " << iter << " change " << group.second;
+                EXPECT_EQ(removesAmbiguity(observable_only, sg.detectors,
+                                           task.mw.errors, w.h.dem),
+                          testsupport::referenceRemovesAmbiguity(
+                              observable_only_dem, sg.detectors,
+                              task.mw.errors, w.h.dem))
+                    << "observable-only fault, iteration " << iter
+                    << " change " << group.second;
+                ++checked;
+                removed += got ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_GT(removed, 0u);
+    EXPECT_LT(removed, checked);
 }
 
 void
@@ -445,6 +563,38 @@ TEST(Optimizer, SharedModelsMatchPerCandidateVerification)
         }
         EXPECT_GT(models, 0u) << "d=" << d;
     }
+}
+
+TEST(Pruning, SignatureVerdictsMatchDemReferenceOnD5)
+{
+    // The poor d=5 surface schedule at the optimize_d5 benchmark's budgets:
+    // 5 rounds, both bases, 4 iterations of 200 samples.
+    code::SurfaceCode s(5);
+    PropHuntOptions opts;
+    opts.iterations = 4;
+    opts.samplesPerIteration = 200;
+    opts.seed = 29;
+    opts.satTimeoutSeconds = 600.0;
+    opts.threads = 4;
+    OptimizeResult res =
+        PropHunt(opts).optimize(circuit::poorSurfaceSchedule(s), 5);
+    ASSERT_FALSE(res.history.empty());
+    expectVerdictsMatchReference(res, 5, opts);
+}
+
+TEST(Pruning, SignatureVerdictsMatchDemReferenceOnLp39)
+{
+    auto lp39 = std::make_shared<const code::CssCode>(code::benchmarkLp39());
+    PropHuntOptions opts;
+    opts.iterations = 2;
+    opts.samplesPerIteration = 100;
+    opts.seed = 5;
+    opts.satTimeoutSeconds = 600.0;
+    opts.threads = 4;
+    OptimizeResult res =
+        PropHunt(opts).optimize(circuit::colorationSchedule(lp39), 3);
+    ASSERT_FALSE(res.history.empty());
+    expectVerdictsMatchReference(res, 3, opts);
 }
 
 TEST(Optimizer, HistoryAndSnapshotsIndependentOfThreadCount)
