@@ -3,23 +3,17 @@
  * Saturation benchmark of api::DecodeService: N concurrent clients
  * submitting LER jobs against one persistent service.
  *
- * Per code (lp39 fast, rqt54 the gated reference) the run measures:
- *
- *  - "calib": a raw single-thread decoder::measureDemLer of the same
- *    shot budget — the machine-speed reference all committed-baseline
- *    gates are guarded by;
- *  - a single-client phase: one thread draining the request list
- *    through the service (warm lane groups, no tally reuse), whose
- *    shots/sec must sustain the committed single-request rate on rqt54
- *    within 5% slack on hardware at least as fast as the baseline's;
- *  - client phases N in {1, 2, 4}: the same request list split
- *    round-robin over N submitting threads (each request decodes on
- *    its caller, so clients are the concurrency), reporting
- *    requests/sec and shots/sec. While the machine has a core per
- *    client, shots/sec at N > 1 may never fall below 0.95x the
- *    single-client rate — on multi-core hardware it should scale up;
- *    an oversubscribed box legitimately pays some contention and is
- *    not gated.
+ * Per code (lp39 fast, rqt54 the gated reference) the run measures
+ * client phases N in {1, 2, 4}: the same request list split round-robin
+ * over N submitting threads (each request decodes on its caller, so
+ * clients are the concurrency; N = 1 is the single-client phase, warm
+ * lane groups, no tally reuse), reporting requests/sec and shots/sec.
+ * While the machine has a core per client, shots/sec at N > 1 may never
+ * fall below 0.95x the single-client rate on rqt54 — on multi-core
+ * hardware it should scale up; an oversubscribed box legitimately pays
+ * some contention and is not gated. Absolute throughput is not gated
+ * here: perfbench's ler_rqt54 workload measures this path with
+ * median-of-k bounds.
  *
  * Every phase runs the identical seed set, so the per-request failure
  * counts must be bit-identical across all phases and client counts —
@@ -31,9 +25,7 @@
  * per request is the point); same-key clients still coalesce onto each
  * code's warm clone group.
  *
- * Writes $PROPHUNT_BENCH_OUT (default BENCH_decode_service.json);
- * the committed reference lives at $PROPHUNT_DECODE_SERVICE_BASELINE
- * (default ../bench/results/decode_service_baseline.json).
+ * Writes $PROPHUNT_BENCH_OUT (default BENCH_decode_service.json).
  */
 #include <algorithm>
 #include <cstdio>
@@ -45,7 +37,6 @@
 
 #include "api/decode_service.h"
 #include "bench_common.h"
-#include "decoder/logical_error.h"
 
 using namespace prophunt;
 
@@ -84,7 +75,6 @@ struct Row
     std::size_t shotsPerRequest = 0;
     std::size_t requests = 0;
     std::size_t shardShots = 0;
-    double calibRate = 0;
     std::vector<Phase> phases;
     bool identicalAcrossPhases = true;
     api::DecodeServiceStats stats;
@@ -158,20 +148,6 @@ runConfig(const Config &cfg)
     std::size_t reps = std::max<std::size_t>(
         1, phbench::envSize("PROPHUNT_BENCH_REPS", 3));
 
-    // --- calibration: raw serial measureDemLer, best of reps.
-    decoder::LerOptions serial;
-    serial.threads = 1;
-    serial.shardShots = row.shardShots;
-    double calibSecs = 1e300;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-        auto dec = model->prototype->clone();
-        double t0 = phbench::now();
-        decoder::measureDemLer(model->dem, *dec, row.shotsPerRequest, 300,
-                               serial);
-        calibSecs = std::min(calibSecs, phbench::now() - t0);
-    }
-    row.calibRate = row.shotsPerRequest / calibSecs;
-
     // --- the service under saturation: one persistent instance across
     // all phases (warm clones carry over — that is the product).
     api::DecodeService service;
@@ -201,37 +177,30 @@ main()
 {
     std::printf("=== DecodeService saturation: N clients, persistent lane "
                 "pools (reuse off, coalescing on) ===\n");
-    std::printf("Expected shape: single-client shots/sec ~= raw serial "
-                "rate; identical failures at every client count; "
-                "shots/sec non-collapsing (multi-core: scaling up) as "
-                "clients grow.\n\n");
+    std::printf("Expected shape: identical failures at every client "
+                "count; shots/sec non-collapsing (multi-core: scaling up) "
+                "as clients grow.\n\n");
 
     const Config configs[] = {
         {"lp39", code::benchmarkLp39, 3, 2e-3, 5},
         {"rqt54", code::benchmarkRqt54, 4, 2e-3, 33},
     };
 
-    const char *basePath = std::getenv("PROPHUNT_DECODE_SERVICE_BASELINE");
-    std::string baseline =
-        basePath ? basePath
-                 : "../bench/results/decode_service_baseline.json";
-
     std::vector<Row> rows;
     bool identical = true;
     bool gateHolds = true;
     std::string gateDetail;
-    std::printf("%-7s %7s %7s %8s %12s | %8s %10s %10s %8s\n", "code",
-                "shots/r", "shards", "clients", "calib/s", "reqs/s",
-                "shots/s", "scaling", "bits==");
+    std::printf("%-7s %7s %7s %8s | %8s %10s %10s %8s\n", "code",
+                "shots/r", "shards", "clients", "reqs/s", "shots/s",
+                "scaling", "bits==");
     for (const Config &cfg : configs) {
         Row row = runConfig(cfg);
         double single = row.phases.front().shotsPerSec;
         for (const Phase &ph : row.phases) {
-            std::printf("%-7s %7zu %7zu %8zu %12.0f | %8.2f %10.0f %9.2fx "
-                        "%8s\n",
+            std::printf("%-7s %7zu %7zu %8zu | %8.2f %10.0f %9.2fx %8s\n",
                         row.name.c_str(), row.shotsPerRequest,
                         row.shotsPerRequest / row.shardShots, ph.clients,
-                        row.calibRate, ph.requestsPerSec, ph.shotsPerSec,
+                        ph.requestsPerSec, ph.shotsPerSec,
                         ph.shotsPerSec / single,
                         row.identicalAcrossPhases ? "yes" : "NO");
         }
@@ -255,24 +224,6 @@ main()
                     gateDetail = buf;
                 }
             }
-            // Committed-baseline gate, guarded by the calibration rate:
-            // only on hardware at least as fast as the baseline's may
-            // the committed single-client rate be demanded (5% slack).
-            double committedCalib = phbench::baselineValue(
-                baseline, "rqt54", "calib_shots_per_sec");
-            double committedSingle = phbench::baselineValue(
-                baseline, "rqt54", "single_client_shots_per_sec");
-            if (committedCalib > 0 && committedSingle > 0 &&
-                row.calibRate >= committedCalib &&
-                single < 0.95 * committedSingle) {
-                gateHolds = false;
-                char buf[160];
-                std::snprintf(buf, sizeof buf,
-                              "single client %.0f shots/s < 0.95x "
-                              "committed %.0f shots/s on rqt54",
-                              single, committedSingle);
-                gateDetail = buf;
-            }
         }
         rows.push_back(std::move(row));
     }
@@ -291,10 +242,9 @@ main()
                 "    {\"code\": \"%s\", \"p\": %g,\n"
                 "     \"shots_per_request\": %zu,\n"
                 "     \"shard_shots\": %zu,\n"
-                "     \"calib_shots_per_sec\": %.1f,\n"
                 "     \"single_client_shots_per_sec\": %.1f,\n",
                 r.name.c_str(), r.p, r.shotsPerRequest, r.shardShots,
-                r.calibRate, single);
+                single);
             for (const Phase &ph : r.phases) {
                 std::fprintf(f,
                              "     \"clients_%zu_requests_per_sec\": %.2f,\n"
@@ -319,8 +269,7 @@ main()
         }
         std::fprintf(f, "  ]\n}\n");
         std::fclose(f);
-        std::printf("\nwrote %s (baseline: %s)\n", path.c_str(),
-                    baseline.c_str());
+        std::printf("\nwrote %s\n", path.c_str());
     }
 
     if (!identical) {

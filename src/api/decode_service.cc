@@ -140,8 +140,8 @@ DecodeService::measure(const DecodeJob &job)
     // Throw in the caller before any shard reaches a pool thread.
     sim::validateDemProbabilities(*job.dem, "DecodeService::measure");
 
-    // The exact shard plan of measureDemLer: a shard larger than the run
-    // is one shard, so shard seeds match an exact-fit plan.
+    // A shard larger than the run is one shard, so shard seeds match an
+    // exact-fit plan.
     sim::ShardPlan plan{job.shots, std::min(std::max<std::size_t>(
                                                 job.ler.shardShots, 1),
                                             job.shots)};
@@ -194,8 +194,9 @@ DecodeService::measure(const DecodeJob &job)
             std::max(stats_.peakQueueDepth, pendingShards_);
     }
 
-    // Per-run completion state (caller stack, own lock): the contiguous
-    // completed prefix drives early stopping exactly as measureDemLer.
+    // Per-run completion state (caller stack, own lock): only the
+    // contiguous completed prefix drives early stopping, so the final
+    // walk below sees every shard up to the cut point.
     std::mutex runMutex;
     std::size_t prefixEnd = 0;
     std::size_t prefixFailures = 0;
@@ -301,9 +302,10 @@ DecodeService::measure(const DecodeJob &job)
     }
     out.steals = steals.load(std::memory_order_relaxed);
 
-    // Deterministic accounting: identical to measureDemLer's walk —
-    // shards in index order, truncated at the first gap or at the shard
-    // whose cumulative failures reach the early-stop target.
+    // Deterministic accounting: shards in index order, truncated at the
+    // first gap or at the shard whose cumulative failures reach the
+    // early-stop target. Shards a fast worker finished beyond the cut are
+    // discarded, so the result is independent of the thread count.
     decoder::LerResult &result = out.result;
     for (std::size_t shard = 0; shard < n; ++shard) {
         if (!shardDone[shard]) {

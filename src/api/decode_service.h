@@ -32,12 +32,14 @@
  *    size) tuple matches exactly, and shard results do not depend on
  *    which thread or clone produced them.
  *
- * Determinism contract: measure() returns exactly what
- * decoder::measureDemLer(dem, clone, shots, seed, ler) returns for the
- * same inputs, for every thread count, coalescing state, and cache
- * state. Early stopping uses the same contiguous-prefix accounting;
- * cancellation truncates to a contiguous shard prefix (each prefix
- * being a valid smaller run of the same stream).
+ * Determinism contract: measure() returns exactly what a serial loop
+ * returns that, with one clone of the prototype, samples shard i with
+ * sim::sampleDemFramesInto(shardSeed(seed, i)), decodes it with
+ * decoder::decodeFrameShard, and stops after the first shard whose
+ * cumulative failures reach ler.maxFailures — for every thread count,
+ * coalescing state, and cache state. Cancellation truncates to a
+ * contiguous shard prefix (each prefix being a valid smaller run of the
+ * same stream). tests/support/ler_reference.h holds that serial loop.
  */
 #ifndef PROPHUNT_API_DECODE_SERVICE_H
 #define PROPHUNT_API_DECODE_SERVICE_H
@@ -93,7 +95,7 @@ struct DecodeJob
     std::size_t shots = 0;
     /** Master seed; shard i samples with sim::shardSeed(seed, i). */
     uint64_t seed = 1;
-    /** threads / maxFailures / shardShots, as decoder::measureDemLer. */
+    /** Slot cap, early-stop target and shard size of the run. */
     decoder::LerOptions ler;
     /**
      * Optional cancellation flag. Once set, no further shards are
@@ -161,11 +163,12 @@ class DecodeService
     DecodeService &operator=(const DecodeService &) = delete;
 
     /**
-     * Run one decode job to completion (blocking). Bit-identical to
-     * decoder::measureDemLer on the same (dem, prototype clone, shots,
-     * seed, ler) regardless of thread count, arrival order, coalescing,
-     * or tally reuse. Throws std::invalid_argument on invalid DEM
-     * probabilities (before any shard is queued).
+     * Run one decode job to completion (blocking). Bit-identical to the
+     * serial shard loop of the determinism contract above on the same
+     * (dem, prototype clone, shots, seed, ler) regardless of thread
+     * count, arrival order, coalescing, or tally reuse. Throws
+     * std::invalid_argument on invalid DEM probabilities (before any
+     * shard is queued).
      */
     DecodeOutcome measure(const DecodeJob &job);
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "api/fnv.h"
 #include "circuit/flags.h"
 #include "circuit/sm_circuit.h"
 #include "sim/dem_builder.h"
@@ -14,32 +15,15 @@ namespace prophunt::api {
 
 namespace {
 
+using detail::fnv;
+using detail::fnvStr;
+
 uint64_t
 now_us()
 {
     return (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-void
-fnv(uint64_t &h, uint64_t v)
-{
-    // FNV-1a over the value's 8 bytes.
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-}
-
-void
-fnvStr(uint64_t &h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    fnv(h, s.size());
 }
 
 /** Full schedule identity, used to verify hash-keyed cache hits. */

@@ -19,7 +19,7 @@
  *    keeps lane groups of warm decoder clones per decode key, coalesces
  *    concurrent same-key requests into one shard stream on a persistent
  *    worker pool, and reuses recorded shard tallies across requests —
- *    all bit-identical to a serial decoder::measureMemoryLer run.
+ *    all bit-identical to a serial run of the same shard stream.
  *  - adaptive sweeps: run(SweepRequest) with SprtOptions::enabled allocates
  *    shots across sweep points with a sequential test (api/sprt.h)
  *    instead of a fixed per-point budget.
@@ -74,9 +74,10 @@ class Engine
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
-    /** Measure one schedule's combined memory-Z/X LER. Bit-identical to
-     * decoder::measureMemoryLer at the same request parameters. Throws
-     * std::invalid_argument at admission (validateLerRequest). */
+    /** Measure one schedule's combined memory-Z/X LER: basis b samples
+     * with master seed decoder::memoryBasisSeed(seed, b), bit-identical
+     * at every thread count. Throws std::invalid_argument at admission
+     * (validateLerRequest). */
     LerResult run(const LerRequest &req);
 
     /**

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "api/engine.h"
+#include "api/fnv.h"
 #include "api/sprt.h"
 #include "decoder/registry.h"
 #include "sim/parallel_sampler.h"
@@ -23,25 +24,8 @@ namespace prophunt::api {
 
 namespace {
 
-// FNV-1a over 8-byte values / strings, as the engine's cache keys use.
-void
-fnv(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-}
-
-void
-fnvStr(uint64_t &h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    fnv(h, s.size());
-}
+using detail::fnv;
+using detail::fnvStr;
 
 uint64_t
 doubleBits(double d)
@@ -888,7 +872,7 @@ mergeSweepCheckpoints(const std::vector<SweepCheckpoint> &shards)
 
 namespace {
 
-/** The admission checks LerRequest and SweepRequest share; @p request
+/** The admission checks the request validators share; @p request
  * prefixes every message. */
 void
 checkRounds(const char *request, std::size_t rounds)
@@ -922,12 +906,36 @@ checkDecoder(const char *request, const decoder::DecoderSpec &spec)
     }
 }
 
+/**
+ * Reject a schedule that is not commutation-valid (its memory circuit
+ * compiles, but its noiseless detectors are not deterministic, so any LER
+ * measured on it is meaningless) or not schedulable (its CNOT precedence
+ * constraints are cyclic, so it does not compile at all).
+ */
+void
+checkSchedule(const char *request, const char *field,
+              const circuit::SmSchedule &schedule)
+{
+    if (!schedule.commutationValid()) {
+        throw std::invalid_argument(
+            std::string(request) + ": " + field +
+            " is not commutation-valid (every X/Z check pair must cross "
+            "evenly on its shared qubits)");
+    }
+    if (!schedule.schedulable()) {
+        throw std::invalid_argument(std::string(request) + ": " + field +
+                                    " is not schedulable (its CNOT "
+                                    "precedence constraints are cyclic)");
+    }
+}
+
 } // namespace
 
 void
 validateLerRequest(const LerRequest &req)
 {
     checkRounds("LerRequest", req.rounds);
+    checkSchedule("LerRequest", "schedule", req.schedule);
     checkRate("LerRequest", "noise.p1", req.noise.p1);
     checkRate("LerRequest", "noise.p2", req.noise.p2);
     checkRate("LerRequest", "noise.pIdle", req.noise.pIdle);
@@ -938,6 +946,7 @@ void
 validateSweepRequest(const SweepRequest &req)
 {
     checkRounds("SweepRequest", req.rounds);
+    checkSchedule("SweepRequest", "schedule", req.schedule);
     for (std::size_t i = 0; i < req.ps.size(); ++i) {
         checkRate("SweepRequest", "ps[" + std::to_string(i) + "]",
                   req.ps[i]);
@@ -998,14 +1007,7 @@ validateOptimizeRequest(const OptimizeRequest &req)
         reject("options.satTimeoutSeconds must be > 0, got " +
                std::to_string(o.satTimeoutSeconds));
     }
-    if (!req.start.commutationValid()) {
-        reject("start schedule is not commutation-valid (every X/Z "
-               "check pair must cross evenly on its shared qubits)");
-    }
-    if (!req.start.schedulable()) {
-        reject("start schedule is not schedulable (its CNOT precedence "
-               "constraints are cyclic)");
-    }
+    checkSchedule("OptimizeRequest", "start schedule", req.start);
 }
 
 } // namespace prophunt::api

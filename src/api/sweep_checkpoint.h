@@ -250,7 +250,9 @@ SweepCheckpoint mergeSweepCheckpoints(
 
 /**
  * LerRequest admission, run before any artifact is built. Throws
- * std::invalid_argument naming the field for: rounds == 0; noise.p1,
+ * std::invalid_argument naming the field for: rounds == 0; a schedule
+ * that is not commutation-valid or not schedulable (the checks
+ * validateOptimizeRequest applies to its start schedule); noise.p1,
  * noise.p2 or noise.pIdle not finite or outside [0, 0.5); and a
  * decoder.name the decoder registry does not know.
  */
@@ -258,9 +260,9 @@ void validateLerRequest(const LerRequest &req);
 
 /**
  * Request admission checks, run before any artifact is built:
- *  - rounds, every ps entry (as noise.p1/p2), pIdle and decoder.name
- *    are checked as validateLerRequest checks them, naming the field
- *    (ps[i] for entry i);
+ *  - rounds, schedule, every ps entry (as noise.p1/p2), pIdle and
+ *    decoder.name are checked as validateLerRequest checks them, naming
+ *    the field (ps[i] for entry i);
  *  - sprt.enabled with unusable SPRT options (the default
  *    decisionLer == 0 in particular) throws std::invalid_argument with
  *    an actionable message instead of surfacing from deep inside the

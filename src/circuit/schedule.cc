@@ -86,18 +86,15 @@ SmSchedule::commutationValid() const
     for (std::size_t cx = 0; cx < mx; ++cx) {
         for (std::size_t cz = mx; cz < m; ++cz) {
             std::size_t crossings = 0;
-            std::size_t shared = 0;
             for (std::size_t q : checkOrder_[cx]) {
                 const auto &zq = checkOrder_[cz];
                 if (std::find(zq.begin(), zq.end(), q) == zq.end()) {
                     continue;
                 }
-                ++shared;
                 if (posOnQubit(q, cx) < posOnQubit(q, cz)) {
                     ++crossings;
                 }
             }
-            (void)shared;
             if (crossings % 2 != 0) {
                 return false;
             }

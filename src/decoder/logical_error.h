@@ -1,11 +1,13 @@
 /**
  * @file
- * Logical-error-rate measurement harness.
+ * Logical-error-rate vocabulary: the result and option types of a
+ * Monte-Carlo memory experiment, and the per-shard decode step.
  *
- * Ties together circuit construction, DEM extraction, sampling, and
- * decoding. The reported quantity matches the paper's evaluation: the
- * combined probability of a logical X or logical Z error over a d-round
- * memory experiment, estimated from separate memory-Z and memory-X runs.
+ * api::DecodeService runs the sharded experiment (api::Engine's
+ * LerRequest and SweepRequest both go through it). The reported quantity
+ * matches the paper's evaluation: the combined probability of a logical X
+ * or logical Z error over a d-round memory experiment, estimated from
+ * separate memory-Z and memory-X runs.
  */
 #ifndef PROPHUNT_DECODER_LOGICAL_ERROR_H
 #define PROPHUNT_DECODER_LOGICAL_ERROR_H
@@ -14,19 +16,14 @@
 #include <memory>
 #include <vector>
 
-#include "circuit/schedule.h"
 #include "circuit/sm_circuit.h"
 #include "decoder/decoder.h"
 #include "decoder/registry.h"
 #include "sim/dem.h"
-#include "sim/noise_model.h"
+#include "sim/frame_sampler.h"
 #include "sim/parallel_sampler.h"
 
 namespace prophunt::decoder {
-
-// The legacy closed DecoderKind enum and its compatibility overloads
-// were deprecated in PR 4 and deleted in PR 6: pass a DecoderSpec
-// ("union_find", "bp_osd", ...) instead; see decoder/registry.h.
 
 /** Build a decoder for a DEM through the registry. */
 std::unique_ptr<Decoder> makeDecoder(const sim::Dem &dem,
@@ -56,7 +53,7 @@ struct LerResult
     }
 };
 
-/** Knobs for the parallel Monte-Carlo LER engine. */
+/** Knobs of a sharded LER run (api::DecodeJob::ler, LerRequest::ler). */
 struct LerOptions
 {
     /** Worker threads; 0 (the default) means hardware concurrency. */
@@ -65,9 +62,9 @@ struct LerOptions
      * Stop once this many failures were seen (0 disables).
      *
      * Sequential-test style: cheap (high-LER) regimes resolve in a few
-     * shards instead of burning the full shot budget. Accounting walks
-     * completed shards in index order and truncates at the first shard
-     * where the cumulative failure count reaches the target, so the
+     * shards instead of burning the full shot budget. api::DecodeService
+     * walks completed shards in index order and truncates at the first
+     * shard where the cumulative failure count reaches the target, so the
      * reported failures/shots are identical for every thread count.
      */
     std::size_t maxFailures = 0;
@@ -76,7 +73,7 @@ struct LerOptions
 };
 
 /**
- * Per-worker storage reused across shard decodes: per-shot predictions
+ * Per-slot storage reused across shard decodes: per-shot predictions
  * and the observable masks read straight from the frame rows.
  */
 struct FrameShardScratch
@@ -92,26 +89,13 @@ struct FrameShardScratch
  *
  * Frames flow into the decoder packed (decodePacked): decoders with a
  * native frame path (BP+OSD lanes) never see a transpose, everything
- * else is adapted inside the default implementation. The one shard-tally
- * computation shared by measureDemLer and api::DecodeService — a tally
- * recorded under (DEM, decoder, shard seed, shard shots) is bit-exact
- * reusable wherever the same tuple recurs.
+ * else is adapted inside the default implementation. This is
+ * api::DecodeService's per-shard step, so a tally recorded under (DEM,
+ * decoder, shard seed, shard shots) is bit-exact reusable wherever the
+ * same tuple recurs.
  */
 std::size_t decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,
                              FrameShardScratch &scratch);
-
-/**
- * Sample the DEM and decode each shot; failures are observable misses.
- *
- * Shots are sharded as in sim::sampleDemSharded: the result is
- * bit-identical for every thread count at a fixed master seed.
- */
-LerResult measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,
-                        uint64_t seed, const LerOptions &opts);
-
-/** Single-thread, no-early-stop convenience overload. */
-LerResult measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,
-                        uint64_t seed);
 
 /** Combined memory-Z + memory-X logical error rate. */
 struct MemoryLer
@@ -128,32 +112,10 @@ struct MemoryLer
 };
 
 /**
- * Per-basis master seed of a memory experiment.
- *
- * measureMemoryLer and api::Engine both derive the Z/X sampling seeds
- * through this function, so their results are bit-identical at a fixed
- * request seed.
+ * Per-basis master seed of a memory experiment: api::Engine derives the
+ * Z/X sampling seeds of a request through this function.
  */
 uint64_t memoryBasisSeed(uint64_t seed, circuit::MemoryBasis basis);
-
-/**
- * Measure the combined LER of a schedule over @p rounds rounds.
- *
- * Runs both memory bases with @p shots shots each; the decoder is built
- * through the registry from @p spec. Workloads that repeat (schedule, p)
- * points should prefer api::Engine, which caches the per-basis circuit,
- * DEM, and decoder this function rebuilds on every call.
- */
-MemoryLer measureMemoryLer(const circuit::SmSchedule &schedule,
-                           std::size_t rounds, const sim::NoiseModel &noise,
-                           const DecoderSpec &spec, std::size_t shots,
-                           uint64_t seed, const LerOptions &opts);
-
-/** No-early-stop convenience overload. */
-MemoryLer measureMemoryLer(const circuit::SmSchedule &schedule,
-                           std::size_t rounds, const sim::NoiseModel &noise,
-                           const DecoderSpec &spec, std::size_t shots,
-                           uint64_t seed);
 
 } // namespace prophunt::decoder
 

@@ -54,11 +54,12 @@ struct PropHuntOptions
      */
     std::size_t threads = 0;
     /**
-     * Monte-Carlo LER engine knobs shared with any logical-error-rate
-     * scoring done on behalf of the optimizer (candidate sweeps, final
+     * Monte-Carlo LER knobs shared with any logical-error-rate scoring
+     * done on behalf of the optimizer (candidate sweeps, final
      * before/after measurement). Callers that score schedules should pass
-     * this through measureMemoryLer so the optimizer and the LER engine
-     * draw from one thread-pool configuration and early-stopping policy.
+     * this as api::LerRequest::ler so the optimizer and the LER
+     * measurement draw from one thread-pool configuration and
+     * early-stopping policy.
      */
     decoder::LerOptions ler;
     uint64_t seed = 1;

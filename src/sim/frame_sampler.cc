@@ -105,17 +105,6 @@ transposePlane(const uint64_t *frames, std::size_t rows,
 } // namespace
 
 void
-transposeFrames(const FrameBatch &frames, std::size_t det_words,
-                std::size_t obs_words, uint64_t *det_rows,
-                uint64_t *obs_rows)
-{
-    transposePlane(frames.det.data(), frames.numDetectors, frames.shotWords,
-                   frames.shots, det_words, det_rows);
-    transposePlane(frames.obs.data(), frames.numObservables,
-                   frames.shotWords, frames.shots, obs_words, obs_rows);
-}
-
-void
 transposeFrames(const FrameBatch &frames, SampleBatch &out)
 {
     transposeView(frames.view(), out);

@@ -110,19 +110,6 @@ FrameBatch sampleDemFrames(const Dem &dem, std::size_t shots, uint64_t seed);
  * m[j]). */
 void transpose64x64(uint64_t m[64]);
 
-/**
- * Transpose a frame batch into caller-owned row storage.
- *
- * @p det_rows / @p obs_rows receive frames.shots rows of @p det_words /
- * @p obs_words words; every word of every row is written (rows beyond the
- * frame's detector/observable count read as zero), so the destination does
- * not need to be zeroed. Row widths must satisfy
- * det_words * 64 >= numDetectors (likewise for observables).
- */
-void transposeFrames(const FrameBatch &frames, std::size_t det_words,
-                     std::size_t obs_words, uint64_t *det_rows,
-                     uint64_t *obs_rows);
-
 /** Transpose a frame batch into a row-layout SampleBatch, reusing its
  * storage. */
 void transposeFrames(const FrameBatch &frames, SampleBatch &out);

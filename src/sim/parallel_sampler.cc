@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/event_stream.h"
-#include "sim/frame_sampler.h"
 
 namespace prophunt::sim {
 
@@ -39,12 +38,6 @@ resolveThreads(std::size_t threads)
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-std::size_t
-shardWorkers(const ShardPlan &plan, std::size_t threads)
-{
-    return std::min(resolveThreads(threads), plan.numShards());
 }
 
 /**
@@ -188,15 +181,6 @@ WorkerPool::workerLoop()
 }
 
 void
-forEachShard(const ShardPlan &plan, std::size_t threads,
-             const std::function<void(std::size_t, std::size_t)> &fn,
-             const std::atomic<bool> *stop)
-{
-    WorkerPool::shared().run(plan.numShards(), shardWorkers(plan, threads),
-                             fn, stop);
-}
-
-void
 parallelFor(std::size_t n, std::size_t threads,
             const std::function<void(std::size_t)> &fn)
 {
@@ -214,54 +198,6 @@ validateDemProbabilities(const Dem &dem, const char *where)
                 detail::badProbabilityMessage(where, m, p));
         }
     }
-}
-
-void
-forEachFrameShard(
-    const Dem &dem, const ShardPlan &plan, uint64_t seed,
-    std::size_t threads,
-    const std::function<void(std::size_t, std::size_t, const FrameBatch &)>
-        &fn,
-    const std::atomic<bool> *stop)
-{
-    // Validate up front: a throw inside a worker would terminate.
-    validateDemProbabilities(dem, "forEachFrameShard");
-    std::vector<FrameBatch> scratch(shardWorkers(plan, threads));
-    forEachShard(
-        plan, threads,
-        [&](std::size_t shard, std::size_t worker) {
-            FrameBatch &frames = scratch[worker];
-            sampleDemFramesInto(dem, plan.shotsOf(shard),
-                                shardSeed(seed, shard), frames);
-            fn(shard, worker, frames);
-        },
-        stop);
-}
-
-SampleBatch
-sampleDemSharded(const Dem &dem, std::size_t shots, uint64_t seed,
-                 std::size_t threads, std::size_t shard_shots)
-{
-    SampleBatch batch;
-    batch.shots = shots;
-    batch.detWords = (dem.numDetectors + 63) / 64;
-    batch.obsWords = (std::max<std::size_t>(dem.numObservables, 1) + 63) / 64;
-    batch.det.assign(shots * batch.detWords, 0);
-    batch.obs.assign(shots * batch.obsWords, 0);
-
-    // Each shard is sampled word-packed (frame layout) and transposed into
-    // its row range; the packed sampler consumes the RNG stream exactly as
-    // the scalar one, so the batch is unchanged bit for bit.
-    ShardPlan plan{shots, std::max<std::size_t>(shard_shots, 1)};
-    forEachFrameShard(
-        dem, plan, seed, threads,
-        [&](std::size_t shard, std::size_t, const FrameBatch &frames) {
-            std::size_t off = plan.offsetOf(shard);
-            transposeFrames(frames, batch.detWords, batch.obsWords,
-                            batch.det.data() + off * batch.detWords,
-                            batch.obs.data() + off * batch.obsWords);
-        });
-    return batch;
 }
 
 } // namespace prophunt::sim

@@ -1,14 +1,14 @@
 /**
  * @file
- * Sharded, multi-threaded Monte-Carlo sampling.
+ * Sharding and threading primitives of the Monte-Carlo pipeline.
  *
- * Shots are split into fixed-size shards; shard i is sampled with its own
- * RNG stream seeded by the i-th output of a SplitMix64 generator seeded
- * with the master seed. The result is therefore defined as the
- * concatenation of independent per-shard serial runs, which makes it
- * bit-identical for every thread count (including 1) at a fixed master
- * seed. Shards are claimed in ascending order from a persistent WorkerPool
- * and written into disjoint row ranges of one shared batch.
+ * Shots are split into fixed-size shards (ShardPlan); shard i is sampled
+ * with its own RNG stream seeded by the i-th output of a SplitMix64
+ * generator seeded with the master seed (shardSeed). A sharded run is
+ * therefore defined as the concatenation of independent per-shard serial
+ * runs, which makes it bit-identical for every thread count (including 1)
+ * at a fixed master seed. api::DecodeService drives the shards on a
+ * persistent WorkerPool; parallelFor serves the optimizer's loops.
  */
 #ifndef PROPHUNT_SIM_PARALLEL_SAMPLER_H
 #define PROPHUNT_SIM_PARALLEL_SAMPLER_H
@@ -22,8 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "sim/frame_sampler.h"
-#include "sim/sampler.h"
+#include "sim/dem.h"
 
 namespace prophunt::sim {
 
@@ -66,9 +65,6 @@ struct ShardPlan
         return off >= shots ? 0 : std::min(shardShots, shots - off);
     }
 };
-
-/** Workers forEachShard will use: min(resolveThreads(threads), shards). */
-std::size_t shardWorkers(const ShardPlan &plan, std::size_t threads);
 
 /**
  * Persistent pool of worker threads draining index runs.
@@ -147,54 +143,12 @@ void validateDemProbabilities(const Dem &dem, const char *where);
 /**
  * Run @p fn(i) for i in [0, n) across @p threads workers.
  *
- * The shared work-distribution loop used by both the sampling shards and
- * the PropHunt optimizer's candidate verification: indices are claimed in
- * ascending order from WorkerPool::shared(), and @p threads = 0 means
- * hardware concurrency.
+ * The work-distribution loop of the PropHunt optimizer's sampling and
+ * candidate verification: indices are claimed in ascending order from
+ * WorkerPool::shared(), and @p threads = 0 means hardware concurrency.
  */
 void parallelFor(std::size_t n, std::size_t threads,
                  const std::function<void(std::size_t)> &fn);
-
-/**
- * Run @p fn(shard, worker) for every shard of @p plan.
- *
- * Shards are claimed in ascending order from WorkerPool::shared(); worker
- * is in [0, shardWorkers(plan, threads)) and lets callers keep per-worker
- * state (e.g. a cloned decoder). If @p stop is non-null it is checked
- * before each claim; shards already claimed still complete, which keeps
- * the completed set a contiguous prefix.
- */
-void forEachShard(const ShardPlan &plan, std::size_t threads,
-                  const std::function<void(std::size_t, std::size_t)> &fn,
-                  const std::atomic<bool> *stop = nullptr);
-
-/**
- * Sample every shard of @p plan word-packed and hand each to @p fn.
- *
- * The one sampling driver behind both the row-batch API
- * (sampleDemSharded transposes each shard into its row range) and the
- * packed decode pipeline (measureDemLer hands the frames straight to
- * Decoder::decodePacked). @p fn(shard, worker, frames) receives the
- * shard's outcomes in per-worker scratch that is reused across shards;
- * shard semantics (seeding, claim order, @p stop) are those of
- * forEachShard. Validates the DEM before spawning workers.
- */
-void forEachFrameShard(
-    const Dem &dem, const ShardPlan &plan, uint64_t seed,
-    std::size_t threads,
-    const std::function<void(std::size_t, std::size_t, const FrameBatch &)>
-        &fn,
-    const std::atomic<bool> *stop = nullptr);
-
-/**
- * Sample @p shots shots from @p dem across @p threads workers.
- *
- * Bit-identical for every thread count at a fixed master seed; equals the
- * concatenation of sampleDem(plan.shotsOf(i), shardSeed(seed, i)) runs.
- */
-SampleBatch sampleDemSharded(const Dem &dem, std::size_t shots, uint64_t seed,
-                             std::size_t threads,
-                             std::size_t shard_shots = kDefaultShardShots);
 
 } // namespace prophunt::sim
 

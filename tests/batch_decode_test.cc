@@ -23,6 +23,7 @@
 #include "sim/rng.h"
 #include "sim/sampler.h"
 #include "support/bp_osd_reference.h"
+#include "support/ler_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -193,21 +194,20 @@ TEST(BatchDecode, StagnationWindowKeepsStatisticalQuality)
 
 TEST(BatchDecode, LerEngineThreadInvariantThroughPackedPipeline)
 {
-    // measureDemLer samples packed and decodes each shard through
-    // decodePacked; failures must stay thread-count independent with the
-    // BP+OSD decoder in the loop.
+    // api::DecodeService samples packed and decodes each shard through
+    // decodePacked; failures must equal the serial reference loop at every
+    // thread count with the BP+OSD decoder in the loop.
     Dem dem = ldpcDem(4e-3);
     decoder::BpOsdDecoder dec(dem);
-    decoder::LerOptions base;
-    base.shardShots = 128;
-    base.threads = 1;
-    decoder::LerResult serial = decoder::measureDemLer(dem, dec, 1500, 31, base);
+    decoder::LerOptions opts;
+    opts.shardShots = 128;
+    decoder::LerResult serial =
+        testsupport::referenceDemLer(dem, dec, 1500, 31, opts);
     EXPECT_EQ(serial.shots, 1500u);
-    for (std::size_t threads : {2u, 4u}) {
-        decoder::LerOptions opts = base;
+    for (std::size_t threads : {1u, 2u, 4u}) {
         opts.threads = threads;
         decoder::LerResult par =
-            decoder::measureDemLer(dem, dec, 1500, 31, opts);
+            testsupport::serviceDemLer(dem, dec, 1500, 31, opts);
         EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
         EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
     }

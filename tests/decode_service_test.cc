@@ -2,9 +2,10 @@
  * @file
  * Concurrency and determinism contracts of api::DecodeService.
  *
- * The service promise under test: measure() returns exactly what a
- * serial decoder::measureDemLer run returns for the same (dem, decoder,
- * shots, seed, ler) — for every thread count, every arrival order of
+ * The service promise under test: measure() returns exactly what the
+ * serial reference loop (tests/support/ler_reference.h) returns for the
+ * same (dem, decoder, shots, seed, ler) — for every thread count, every
+ * arrival order of
  * concurrent requests, and every coalescing / tally-reuse / lane-group
  * cache state. On top of that, the suite pins the service-only
  * behaviors: deterministic coalescing detection (via a gate decoder
@@ -38,6 +39,7 @@
 #include "sim/frame_sampler.h"
 #include "sim/noise_model.h"
 #include "sim/parallel_sampler.h"
+#include "support/ler_reference.h"
 
 using namespace prophunt;
 
@@ -80,17 +82,16 @@ jobFor(const std::shared_ptr<Model> &m, std::string key, std::size_t shots,
     return job;
 }
 
-/** The contract's right-hand side: a fresh clone, serial measureDemLer. */
+/** The contract's right-hand side: a fresh clone, the serial reference. */
 decoder::LerResult
 serialRef(const Model &m, std::size_t shots, uint64_t seed,
           std::size_t shard_shots, std::size_t max_failures = 0)
 {
     auto dec = m.prototype->clone();
     decoder::LerOptions opts;
-    opts.threads = 1;
     opts.shardShots = shard_shots;
     opts.maxFailures = max_failures;
-    return decoder::measureDemLer(m.dem, *dec, shots, seed, opts);
+    return testsupport::referenceDemLer(m.dem, *dec, shots, seed, opts);
 }
 
 /** Every field of LerResult except the wall-clock osdUs. */
@@ -313,7 +314,7 @@ TEST(DecodeService, MatchesSerialReferenceAcrossThreadCounts)
     decoder::LerResult ref = serialRef(*m, 4096, 99, 256);
     api::DecodeServiceOptions opts;
     opts.threads = 2; // dedicated pool: real workers even on 1-CPU boxes
-    for (std::size_t threads : {1u, 2u, 8u}) {
+    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
         api::DecodeService service(opts);
         api::DecodeOutcome out =
             service.measure(jobFor(m, "d3", 4096, 99, 256, threads));
@@ -331,7 +332,7 @@ TEST(DecodeService, BpOsdLaneDecoderMatchesSerialReference)
     api::DecodeServiceOptions opts;
     opts.threads = 2;
     api::DecodeService service(opts);
-    for (std::size_t threads : {1u, 3u}) {
+    for (std::size_t threads : {1u, 2u, 3u, 4u}) {
         api::DecodeOutcome out =
             service.measure(jobFor(m, "bp", 1536, 5, 256, threads));
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -344,7 +345,7 @@ TEST(DecodeService, MaxFailuresEarlyStopMatchesSerial)
     auto m = makeModel("union_find", 1e-2);
     decoder::LerResult ref = serialRef(*m, 4096, 13, 128, 5);
     api::DecodeService service;
-    for (std::size_t threads : {1u, 4u}) {
+    for (std::size_t threads : {1u, 2u, 4u}) {
         api::DecodeJob job = jobFor(m, "hot", 4096, 13, 128, threads);
         job.ler.maxFailures = 5;
         api::DecodeOutcome out = service.measure(job);
@@ -353,6 +354,33 @@ TEST(DecodeService, MaxFailuresEarlyStopMatchesSerial)
     }
     EXPECT_TRUE(ref.earlyStopped)
         << "test needs a regime where early stopping actually triggers";
+}
+
+TEST(DecodeService, BpOsdLaneEarlyStopMatchesReferenceAcrossShardSizes)
+{
+    // The lane decoder plus early stop: shards finish out of order on the
+    // dedicated pool, yet the accounted prefix (failures, shots, lane and
+    // OSD counters) must equal the serial loop at every thread count and
+    // for shard sizes that do and do not fill whole 64-shot words.
+    auto m = makeModel("bp_osd", 1e-2);
+    api::DecodeServiceOptions opts;
+    opts.threads = 3;
+    for (std::size_t shard_shots : {128u, 77u}) {
+        decoder::LerResult ref = serialRef(*m, 4096, 17, shard_shots, 6);
+        ASSERT_TRUE(ref.earlyStopped)
+            << "test needs a regime where early stopping triggers";
+        ASSERT_GT(ref.packed.packedShots, 0u);
+        ASSERT_GT(ref.packed.laneSlotsTotal, 0u);
+        for (std::size_t threads : {1u, 2u, 4u}) {
+            api::DecodeService service(opts);
+            api::DecodeJob job =
+                jobFor(m, "bp-hot", 4096, 17, shard_shots, threads);
+            job.ler.maxFailures = 6;
+            SCOPED_TRACE("shard_shots=" + std::to_string(shard_shots) +
+                         " threads=" + std::to_string(threads));
+            expectSameResult(service.measure(job).result, ref);
+        }
+    }
 }
 
 // --- concurrent submission --------------------------------------------------

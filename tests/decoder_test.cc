@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for matching-graph construction, the union-find decoder, BP+OSD,
- * the exact MLE oracle, and the LER harness.
+ * the exact MLE oracle, and LER trends measured through api::Engine.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "api/engine.h"
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
@@ -23,6 +24,21 @@ using namespace prophunt;
 using namespace prophunt::decoder;
 
 namespace {
+
+/** Both memory bases of @p sched through api::Engine. */
+MemoryLer
+memoryLer(const circuit::SmSchedule &sched, std::size_t rounds,
+          const sim::NoiseModel &noise, const DecoderSpec &spec,
+          std::size_t shots, uint64_t seed)
+{
+    api::LerRequest req(sched);
+    req.rounds = rounds;
+    req.noise = noise;
+    req.decoder = spec;
+    req.shots = shots;
+    req.seed = seed;
+    return api::Engine().run(req).memory;
+}
 
 struct Harness
 {
@@ -151,8 +167,8 @@ TEST(LogicalError, LerDecreasesWithPhysicalRate)
     code::SurfaceCode s(3);
     circuit::SmSchedule nz = circuit::nzSchedule(s);
     auto at = [&](double p) {
-        return measureMemoryLer(nz, 3, sim::NoiseModel::uniform(p),
-                                "union_find", 20000, 17)
+        return memoryLer(nz, 3, sim::NoiseModel::uniform(p), "union_find",
+                         20000, 17)
             .combined();
     };
     double high = at(8e-3), low = at(1e-3);
@@ -164,9 +180,9 @@ TEST(LogicalError, DistanceSuppressesLer)
 {
     auto ler_for = [&](std::size_t d) {
         code::SurfaceCode s(d);
-        return measureMemoryLer(circuit::nzSchedule(s), d,
-                                sim::NoiseModel::uniform(3e-3),
-                                "union_find", 10000, 23)
+        return memoryLer(circuit::nzSchedule(s), d,
+                         sim::NoiseModel::uniform(3e-3), "union_find", 10000,
+                         23)
             .combined();
     };
     // Below threshold, d=5 beats d=3.
@@ -176,13 +192,13 @@ TEST(LogicalError, DistanceSuppressesLer)
 TEST(LogicalError, NzBeatsPoorSchedule)
 {
     code::SurfaceCode s(5);
-    double nz = measureMemoryLer(circuit::nzSchedule(s), 5,
-                                 sim::NoiseModel::uniform(3e-3),
-                                 "union_find", 8000, 31)
+    double nz = memoryLer(circuit::nzSchedule(s), 5,
+                          sim::NoiseModel::uniform(3e-3), "union_find", 8000,
+                          31)
                     .combined();
-    double poor = measureMemoryLer(circuit::poorSurfaceSchedule(s), 5,
-                                   sim::NoiseModel::uniform(3e-3),
-                                   "union_find", 8000, 31)
+    double poor = memoryLer(circuit::poorSurfaceSchedule(s), 5,
+                            sim::NoiseModel::uniform(3e-3), "union_find",
+                            8000, 31)
                       .combined();
     EXPECT_LT(nz, poor);
 }
@@ -192,9 +208,8 @@ TEST(LogicalError, BpOsdHandlesLdpcCode)
     auto code = code::benchmarkLp39();
     auto cp = std::make_shared<const code::CssCode>(code);
     circuit::SmSchedule sched = circuit::colorationSchedule(cp);
-    decoder::MemoryLer ler =
-        measureMemoryLer(sched, 3, sim::NoiseModel::uniform(1e-3),
-                         "bp_osd", 2000, 41);
+    decoder::MemoryLer ler = memoryLer(
+        sched, 3, sim::NoiseModel::uniform(1e-3), "bp_osd", 2000, 41);
     // Sanity: decodes most shots correctly at this rate.
     EXPECT_LT(ler.combined(), 0.25);
 }

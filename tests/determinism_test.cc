@@ -1,22 +1,25 @@
 /**
  * @file
- * Determinism guarantees of the sharded sampler and parallel LER engine.
+ * Determinism guarantees of the shard plan and the production LER path.
  *
- * The contract under test: at a fixed master seed, the sharded result is
- * defined as the concatenation of independent per-shard serial runs, so it
- * must be byte-identical for every thread count — including when early
- * stopping truncates the run.
+ * The contract under test: at a fixed master seed, a sharded LER run is
+ * defined as the concatenation of independent per-shard serial runs (the
+ * reference loop in tests/support/ler_reference.h), so api::DecodeService
+ * and api::Engine must reproduce it for every thread count — including
+ * when early stopping truncates the run.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "api/engine.h"
 #include "circuit/coloration.h"
 #include "code/surface.h"
 #include "decoder/logical_error.h"
 #include "sim/dem_builder.h"
 #include "sim/parallel_sampler.h"
 #include "sim/sampler.h"
+#include "support/ler_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -41,6 +44,19 @@ d3Decoder(const Dem &dem)
     auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
                                             3, circuit::MemoryBasis::Z);
     return decoder::makeDecoder(dem, circ, "union_find");
+}
+
+/** Every LerResult field except the wall-clock osdUs. */
+void
+expectSameResult(const decoder::LerResult &got, const decoder::LerResult &want)
+{
+    EXPECT_EQ(got.shots, want.shots);
+    EXPECT_EQ(got.failures, want.failures);
+    EXPECT_EQ(got.earlyStopped, want.earlyStopped);
+    EXPECT_EQ(got.packed.packedShots, want.packed.packedShots);
+    EXPECT_EQ(got.packed.adapterShots, want.packed.adapterShots);
+    EXPECT_EQ(got.packed.laneSlotsBusy, want.packed.laneSlotsBusy);
+    EXPECT_EQ(got.packed.osdShots, want.packed.osdShots);
 }
 
 } // namespace
@@ -75,63 +91,20 @@ TEST(ShardSeed, MatchesSplitMix64Sequence)
     EXPECT_NE(shardSeed(1, 0), shardSeed(2, 0));
 }
 
-TEST(ShardedSampler, SameSeedGivesByteIdenticalBatch)
-{
-    Dem dem = d3Dem(1e-2);
-    SampleBatch a = sampleDemSharded(dem, 5000, 9, 1, 512);
-    SampleBatch b = sampleDemSharded(dem, 5000, 9, 1, 512);
-    EXPECT_EQ(a.det, b.det);
-    EXPECT_EQ(a.obs, b.obs);
-    SampleBatch c = sampleDemSharded(dem, 5000, 10, 1, 512);
-    EXPECT_NE(a.det, c.det);
-}
-
-TEST(ShardedSampler, ThreadCountDoesNotChangeTheBatch)
-{
-    Dem dem = d3Dem(1e-2);
-    SampleBatch serial = sampleDemSharded(dem, 10000, 42, 1, 512);
-    for (std::size_t threads : {2u, 4u, 8u}) {
-        SampleBatch par = sampleDemSharded(dem, 10000, 42, threads, 512);
-        EXPECT_EQ(serial.det, par.det) << threads << " threads";
-        EXPECT_EQ(serial.obs, par.obs) << threads << " threads";
-    }
-}
-
-TEST(ShardedSampler, EqualsConcatenatedSerialShardRuns)
-{
-    Dem dem = d3Dem(5e-3);
-    std::size_t shard_shots = 300;
-    std::size_t shots = 1000; // 3 full shards + 1 short shard.
-    SampleBatch whole = sampleDemSharded(dem, shots, 7, 4, shard_shots);
-    ShardPlan plan{shots, shard_shots};
-    for (std::size_t i = 0; i < plan.numShards(); ++i) {
-        SampleBatch part =
-            sampleDem(dem, plan.shotsOf(i), shardSeed(7, i));
-        for (std::size_t s = 0; s < part.shots; ++s) {
-            std::size_t w = plan.offsetOf(i) + s;
-            EXPECT_EQ(whole.flippedDetectors(w), part.flippedDetectors(s));
-            EXPECT_EQ(whole.obsMask(w), part.obsMask(s));
-        }
-    }
-}
-
 TEST(ParallelLer, ThreadCountDoesNotChangeFailuresOrShots)
 {
     Dem dem = d3Dem(3e-3);
     auto dec = d3Decoder(dem);
-    decoder::LerOptions base;
-    base.shardShots = 256; // Many shards so threads genuinely interleave.
-    base.threads = 1;
+    decoder::LerOptions opts;
+    opts.shardShots = 256; // Many shards so threads genuinely interleave.
     decoder::LerResult serial =
-        decoder::measureDemLer(dem, *dec, 8000, 77, base);
+        testsupport::referenceDemLer(dem, *dec, 8000, 77, opts);
     EXPECT_EQ(serial.shots, 8000u);
-    for (std::size_t threads : {2u, 4u, 8u}) {
-        decoder::LerOptions opts = base;
+    for (std::size_t threads : {1u, 2u, 4u}) {
         opts.threads = threads;
-        decoder::LerResult par =
-            decoder::measureDemLer(dem, *dec, 8000, 77, opts);
-        EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
-        EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        expectSameResult(
+            testsupport::serviceDemLer(dem, *dec, 8000, 77, opts), serial);
     }
 }
 
@@ -140,36 +113,20 @@ TEST(ParallelLer, EarlyStoppingIsThreadCountIndependent)
     // High p: failures are frequent, so a small target cuts the run early.
     Dem dem = d3Dem(1e-2);
     auto dec = d3Decoder(dem);
-    decoder::LerOptions base;
-    base.shardShots = 128;
-    base.maxFailures = 20;
-    base.threads = 1;
+    decoder::LerOptions opts;
+    opts.shardShots = 128;
+    opts.maxFailures = 20;
     decoder::LerResult serial =
-        decoder::measureDemLer(dem, *dec, 50000, 5, base);
+        testsupport::referenceDemLer(dem, *dec, 50000, 5, opts);
     EXPECT_TRUE(serial.earlyStopped);
     EXPECT_LT(serial.shots, 50000u);
     EXPECT_GE(serial.failures, 20u);
-    for (std::size_t threads : {2u, 4u, 8u}) {
-        decoder::LerOptions opts = base;
+    for (std::size_t threads : {1u, 2u, 4u}) {
         opts.threads = threads;
-        decoder::LerResult par =
-            decoder::measureDemLer(dem, *dec, 50000, 5, opts);
-        EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
-        EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
-        EXPECT_EQ(serial.earlyStopped, par.earlyStopped)
-            << threads << " threads";
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        expectSameResult(
+            testsupport::serviceDemLer(dem, *dec, 50000, 5, opts), serial);
     }
-}
-
-TEST(ParallelLer, LegacyOverloadMatchesDefaultOptions)
-{
-    Dem dem = d3Dem(3e-3);
-    auto dec = d3Decoder(dem);
-    decoder::LerResult a = decoder::measureDemLer(dem, *dec, 4000, 3);
-    decoder::LerResult b =
-        decoder::measureDemLer(dem, *dec, 4000, 3, decoder::LerOptions{});
-    EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.shots, b.shots);
 }
 
 TEST(ParallelLer, ClonedDecoderAgreesWithOriginal)
@@ -188,19 +145,21 @@ TEST(ParallelLer, MemoryLerThreadCountIndependent)
 {
     code::SurfaceCode s(3);
     auto cp = std::make_shared<const code::CssCode>(s.code());
-    auto sched = circuit::colorationSchedule(cp);
-    decoder::LerOptions one;
-    one.threads = 1;
-    one.shardShots = 256;
-    decoder::LerOptions four = one;
-    four.threads = 4;
-    auto a = decoder::measureMemoryLer(sched, 3, NoiseModel::uniform(3e-3),
-                                       "union_find", 4000,
-                                       11, one);
-    auto b = decoder::measureMemoryLer(sched, 3, NoiseModel::uniform(3e-3),
-                                       "union_find", 4000,
-                                       11, four);
-    EXPECT_EQ(a.z.failures, b.z.failures);
-    EXPECT_EQ(a.x.failures, b.x.failures);
-    EXPECT_EQ(a.combined(), b.combined());
+    api::LerRequest req(circuit::colorationSchedule(cp));
+    req.rounds = 3;
+    req.noise = NoiseModel::uniform(3e-3);
+    req.decoder = "union_find";
+    req.shots = 4000;
+    req.seed = 11;
+    req.ler.shardShots = 256;
+    decoder::MemoryLer serial = testsupport::referenceMemoryLer(
+        req.schedule, 3, req.noise, "union_find", 4000, 11, req.ler);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        req.ler.threads = threads;
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        api::LerResult got = api::Engine().run(req);
+        expectSameResult(got.memory.z, serial.z);
+        expectSameResult(got.memory.x, serial.x);
+        EXPECT_EQ(got.ler(), serial.combined());
+    }
 }

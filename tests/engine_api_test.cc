@@ -23,6 +23,7 @@
 #include "decoder/logical_error.h"
 #include "decoder/registry.h"
 #include "sim/dem_builder.h"
+#include "support/ler_reference.h"
 
 using namespace prophunt;
 
@@ -160,20 +161,39 @@ d3Request(std::size_t threads)
 
 } // namespace
 
-TEST(Engine, MatchesMeasureMemoryLerBitForBit)
+TEST(Engine, MatchesMemoryLerReferenceBitForBit)
 {
-    api::Engine engine;
-    api::LerRequest req = d3Request(1);
-    api::LerResult viaEngine = engine.run(req);
-    decoder::LerOptions opts;
-    opts.threads = 1;
-    decoder::MemoryLer direct = decoder::measureMemoryLer(
-        req.schedule, 3, req.noise, "union_find", 4000, 77, opts);
-    EXPECT_EQ(viaEngine.memory.z.failures, direct.z.failures);
-    EXPECT_EQ(viaEngine.memory.z.shots, direct.z.shots);
-    EXPECT_EQ(viaEngine.memory.x.failures, direct.x.failures);
-    EXPECT_EQ(viaEngine.memory.x.shots, direct.x.shots);
-    EXPECT_EQ(viaEngine.telemetry.shots, 8000u);
+    // Both bases against the serial two-basis reference, with and without
+    // an early-stop target, at every thread count.
+    api::LerRequest plain = d3Request(1);
+    api::LerRequest hot = d3Request(1);
+    hot.noise = sim::NoiseModel::uniform(1e-2);
+    hot.ler.shardShots = 128;
+    hot.ler.maxFailures = 5;
+    for (const api::LerRequest *base : {&plain, &hot}) {
+        decoder::MemoryLer want = testsupport::referenceMemoryLer(
+            base->schedule, base->rounds, base->noise, base->decoder,
+            base->shots, base->seed, base->ler);
+        for (std::size_t threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE("maxFailures=" +
+                         std::to_string(base->ler.maxFailures) +
+                         " threads=" + std::to_string(threads));
+            api::LerRequest req = *base;
+            req.ler.threads = threads;
+            api::LerResult got = api::Engine().run(req);
+            for (auto [g, w] : {std::pair{&got.memory.z, &want.z},
+                                std::pair{&got.memory.x, &want.x}}) {
+                EXPECT_EQ(g->failures, w->failures);
+                EXPECT_EQ(g->shots, w->shots);
+                EXPECT_EQ(g->earlyStopped, w->earlyStopped);
+            }
+            EXPECT_EQ(got.telemetry.shots, want.z.shots + want.x.shots);
+        }
+        if (base == &hot) {
+            EXPECT_TRUE(want.z.earlyStopped && want.x.earlyStopped)
+                << "test needs a regime where early stopping triggers";
+        }
+    }
 }
 
 TEST(Engine, ZeroShotRequestReturnsEmptyWellFormedResult)
@@ -765,6 +785,29 @@ d3Optimize()
     return req;
 }
 
+/**
+ * The d=3 NZ schedule with one relative swap of an X and a Z check on a
+ * single shared qubit: that pair then crosses oddly. Still schedulable,
+ * so only the commutation check can reject it.
+ */
+circuit::SmSchedule
+commutationBrokenD3()
+{
+    circuit::SmSchedule nz = d3Schedule();
+    for (std::size_t q = 0; q < nz.code().n(); ++q) {
+        const auto &order = nz.qubitOrder(q);
+        for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+            circuit::SmSchedule bad =
+                nz.withRelativeSwap(q, order[i], order[i + 1]);
+            if (!bad.commutationValid() && bad.schedulable()) {
+                return bad;
+            }
+        }
+    }
+    ADD_FAILURE() << "no single swap broke commutation";
+    return nz;
+}
+
 /** Engine::run(req) throws std::invalid_argument naming @p field. */
 template <class Request>
 void
@@ -834,23 +877,9 @@ TEST(OptimizeAdmission, RejectsNonPositiveSatTimeout)
 
 TEST(OptimizeAdmission, RejectsCommutationInvalidStart)
 {
-    // One relative swap of an X and a Z check on a single shared qubit
-    // makes that pair cross oddly.
-    circuit::SmSchedule nz = d3Schedule();
-    for (std::size_t q = 0; q < nz.code().n(); ++q) {
-        const auto &order = nz.qubitOrder(q);
-        for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-            circuit::SmSchedule bad =
-                nz.withRelativeSwap(q, order[i], order[i + 1]);
-            if (!bad.commutationValid()) {
-                api::OptimizeRequest req = d3Optimize();
-                req.start = bad;
-                expectRejected(req, "commutation-valid");
-                return;
-            }
-        }
-    }
-    FAIL() << "no single swap broke commutation";
+    api::OptimizeRequest req = d3Optimize();
+    req.start = commutationBrokenD3();
+    expectRejected(req, "commutation-valid");
 }
 
 TEST(OptimizeAdmission, RejectsUnschedulableStart)
@@ -892,6 +921,13 @@ TEST(LerAdmission, RejectsZeroRounds)
     api::LerRequest req = d3Request(1);
     req.rounds = 0;
     expectRejected(req, "rounds");
+}
+
+TEST(LerAdmission, RejectsCommutationInvalidSchedule)
+{
+    api::LerRequest req = d3Request(1);
+    req.schedule = commutationBrokenD3();
+    expectRejected(req, "commutation-valid");
 }
 
 TEST(LerAdmission, RejectsBadP1)
@@ -941,6 +977,13 @@ TEST(SweepAdmission, RejectsZeroRounds)
     api::SweepRequest sweep = d3Sweep();
     sweep.rounds = 0;
     expectRejected(sweep, "rounds");
+}
+
+TEST(SweepAdmission, RejectsCommutationInvalidSchedule)
+{
+    api::SweepRequest sweep = d3Sweep();
+    sweep.schedule = commutationBrokenD3();
+    expectRejected(sweep, "commutation-valid");
 }
 
 TEST(SweepAdmission, RejectsBadPsEntry)

@@ -14,7 +14,6 @@
 #include "code/surface.h"
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
-#include "sim/parallel_sampler.h"
 #include "sim/rng.h"
 #include "sim/sampler.h"
 
@@ -134,28 +133,6 @@ TEST(FrameSampler, PerMechanismFlipCountsMatchProbabilities)
         double expect = ps[d] * shots;
         double sigma = std::sqrt(ps[d] * (1 - ps[d]) * shots);
         EXPECT_NEAR((double)flips, expect, 6 * sigma) << "detector " << d;
-    }
-}
-
-TEST(FrameSampler, ShardedSamplerStillThreadInvariant)
-{
-    // The sharded sampler now routes through packed frames + transpose;
-    // the bit-identity contract must survive the rewiring.
-    Dem dem = circuitDem(1e-2);
-    SampleBatch serial = sampleDemSharded(dem, 5000, 11, 1, 256);
-    for (std::size_t threads : {2u, 4u}) {
-        SampleBatch par = sampleDemSharded(dem, 5000, 11, threads, 256);
-        EXPECT_EQ(serial.det, par.det) << threads;
-        EXPECT_EQ(serial.obs, par.obs) << threads;
-    }
-    // And it still equals per-shard scalar runs.
-    ShardPlan plan{5000, 256};
-    for (std::size_t i = 0; i < plan.numShards(); i += 5) {
-        SampleBatch part = sampleDem(dem, plan.shotsOf(i), shardSeed(11, i));
-        for (std::size_t s = 0; s < part.shots; s += 13) {
-            EXPECT_EQ(serial.flippedDetectors(plan.offsetOf(i) + s),
-                      part.flippedDetectors(s));
-        }
     }
 }
 

@@ -6,16 +6,34 @@
 
 #include <memory>
 
+#include "api/engine.h"
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
 #include "code/surface.h"
 #include "decoder/bp_osd.h"
-#include "decoder/logical_error.h"
 #include "prophunt/optimizer.h"
 #include "sim/dem_builder.h"
 
 using namespace prophunt;
+
+namespace {
+
+/** Combined memory-Z/X LER of @p sched through the engine. */
+double
+engineLer(const circuit::SmSchedule &sched, const sim::NoiseModel &noise,
+          const decoder::DecoderSpec &spec, std::size_t shots, uint64_t seed)
+{
+    api::LerRequest req(sched);
+    req.rounds = 3;
+    req.noise = noise;
+    req.decoder = spec;
+    req.shots = shots;
+    req.seed = seed;
+    return api::Engine().run(req).ler();
+}
+
+} // namespace
 
 TEST(Integration, PropHuntRecoversHandDesignedPerformance)
 {
@@ -36,10 +54,7 @@ TEST(Integration, PropHuntRecoversHandDesignedPerformance)
 
     sim::NoiseModel noise = sim::NoiseModel::uniform(3e-3);
     auto ler = [&](const circuit::SmSchedule &sched) {
-        return decoder::measureMemoryLer(sched, 3, noise,
-                                         "union_find",
-                                         30000, 99)
-            .combined();
+        return engineLer(sched, noise, "union_find", 30000, 99);
     };
     double start = ler(coloration);
     double end = ler(res.finalSchedule());
@@ -73,20 +88,7 @@ TEST(Integration, OptimizerImprovesLdpcCode)
     decoder::BpOsdOptions exact;
     exact.stagnationWindow = 0;
     auto ler = [&](const circuit::SmSchedule &sched) {
-        double ok = 1.0;
-        for (auto basis :
-             {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
-            auto circ = circuit::buildMemoryCircuit(sched, 3, basis);
-            auto dem = sim::buildDem(circ, noise);
-            decoder::BpOsdDecoder dec(dem, exact);
-            auto r = decoder::measureDemLer(
-                dem, dec, 3000,
-                101 ^ (basis == circuit::MemoryBasis::X
-                           ? 0x9e3779b97f4a7c15ULL
-                           : 0));
-            ok *= 1.0 - r.ler();
-        }
-        return 1.0 - ok;
+        return engineLer(sched, noise, {"bp_osd", exact}, 3000, 101);
     };
     double start = ler(coloration);
     double end = ler(res.finalSchedule());
@@ -113,10 +115,7 @@ TEST(Integration, IntermediateSnapshotsSpanLerRange)
     sim::NoiseModel noise = sim::NoiseModel::uniform(3e-3);
     std::vector<double> lers;
     for (const auto &snap : res.snapshots) {
-        lers.push_back(decoder::measureMemoryLer(
-                           snap, 3, noise,
-                           "union_find", 20000, 55)
-                           .combined());
+        lers.push_back(engineLer(snap, noise, "union_find", 20000, 55));
     }
     EXPECT_LT(lers.back(), lers.front())
         << "optimization must reduce the LER end to end";

@@ -8,7 +8,8 @@
  * decoder (tests/support/bp_osd_reference.h) — across random DEMs and
  * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
  * final 64-shot word. Also pins down the engine's shot-order/thread-count
- * invariance through measureDemLer and the AVX-512 / AVX2 / generic
+ * invariance through api::DecodeService against the serial reference loop
+ * (tests/support/ler_reference.h) and the AVX-512 / AVX2 / generic
  * kernel cross-check, including partial regions at small radii grown by
  * both the reach bitmaps and the BFS.
  */
@@ -33,6 +34,7 @@
 #include "sim/rng.h"
 #include "sim/sampler.h"
 #include "support/bp_osd_reference.h"
+#include "support/ler_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -270,17 +272,16 @@ TEST(LaneDecode, OsdHeavyCircuitDemAcrossThreads)
     decoder::BpOsdOptions opts;
     opts.maxIterations = 4;
     decoder::BpOsdDecoder dec(dem, opts);
-    decoder::LerOptions base;
-    base.shardShots = 101; // odd shard size: ragged lane queues
-    base.threads = 1;
+    decoder::LerOptions ler;
+    ler.shardShots = 101; // odd shard size: ragged lane queues
     decoder::LerResult serial =
-        decoder::measureDemLer(dem, dec, 707, 29, base);
+        testsupport::referenceDemLer(dem, dec, 707, 29, ler);
     EXPECT_EQ(serial.shots, 707u);
     EXPECT_GT(serial.packed.osdShots, 0u);
-    for (std::size_t threads : {2u, 4u}) {
-        decoder::LerOptions par = base;
-        par.threads = threads;
-        decoder::LerResult r = decoder::measureDemLer(dem, dec, 707, 29, par);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        ler.threads = threads;
+        decoder::LerResult r =
+            testsupport::serviceDemLer(dem, dec, 707, 29, ler);
         EXPECT_EQ(serial.failures, r.failures) << threads << " threads";
         EXPECT_EQ(serial.packed.osdShots, r.packed.osdShots)
             << threads << " threads";
@@ -410,29 +411,26 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
     // depends on which shots share its lanes).
     Dem dem = circuitDem(code::benchmarkLp39, 3, 4e-3);
     decoder::BpOsdDecoder dec(dem);
-    decoder::LerOptions base;
-    base.shardShots = 128;
-    base.threads = 1;
+    decoder::LerOptions ler;
+    ler.shardShots = 128;
     decoder::LerResult serial =
-        decoder::measureDemLer(dem, dec, 1500, 31, base);
+        testsupport::referenceDemLer(dem, dec, 1500, 31, ler);
     EXPECT_EQ(serial.shots, 1500u);
     EXPECT_EQ(serial.packed.packedShots, 1500u);
     EXPECT_GT(serial.packed.laneSlotsTotal, 0u);
-    for (std::size_t threads : {2u, 4u}) {
-        decoder::LerOptions opts = base;
-        opts.threads = threads;
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        ler.threads = threads;
         decoder::LerResult par =
-            decoder::measureDemLer(dem, dec, 1500, 31, opts);
+            testsupport::serviceDemLer(dem, dec, 1500, 31, ler);
         EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
         EXPECT_EQ(serial.packed.laneSlotsBusy, par.packed.laneSlotsBusy)
             << threads << " threads";
     }
     // Different shard sizes change the lane co-residency completely; the
     // failure count must not move (shot-order invariance).
-    decoder::LerOptions bigShards = base;
-    bigShards.shardShots = 1500;
+    ler.shardShots = 1500;
     decoder::LerResult one =
-        decoder::measureDemLer(dem, dec, 1500, 31, bigShards);
+        testsupport::serviceDemLer(dem, dec, 1500, 31, ler);
     // Shard seeds differ between plans, so compare against a direct
     // whole-batch decode at the single-shard seed instead.
     FrameBatch frames = sampleDemFrames(dem, 1500, shardSeed(31, 0));
